@@ -1,8 +1,10 @@
 """Shared plumbing for the benchmark harness.
 
 Every ``bench_*`` module declares a :class:`repro.bench.Grid` (directly,
-or through :func:`table_grid` for the paper-table benchmarks) and runs it
-through :func:`run_grid_bench`: the grid executes exactly once under
+or through :func:`table_grid` for the paper-table benchmarks, which takes
+its title, row labels and paper reference from the experiment's
+:data:`repro.experiments.tables.CATALOGUE` entry) and runs it through
+:func:`run_grid_bench`: the grid executes exactly once under
 pytest-benchmark (``pedantic`` with one round — the interesting number is
 the *simulated* result, the wall-clock time is a bonus), prints the
 measured rows next to the paper's, writes the text to
@@ -31,7 +33,7 @@ from repro.bench import (
     write_grid_artifacts,
 )
 from repro.experiments import ExperimentSettings
-from repro.experiments.tables import render
+from repro.experiments.tables import CATALOGUE, paper_rows, render
 
 #: Master seed for the benchmark harness: every table draws the same
 #: transaction streams, so numbers are comparable across runs and machines.
@@ -73,36 +75,32 @@ def flatten_rows(
 
 
 def run_table_cell(
-    table_func: Callable[[ExperimentSettings], Dict[str, Any]],
-    label_field: str,
-    params: Dict[str, Any],
-    seed: int,
+    key: str, params: Dict[str, Any], seed: int
 ) -> Tuple[Dict[str, float], Dict[str, Any]]:
-    """Grid runner for a paper-table function (module-level: picklable)."""
+    """Grid runner for a catalogued experiment (module-level: picklable)."""
     del params  # table grids have no axes; the table is the sweep
-    result = table_func(BENCH_SETTINGS.with_overrides(seed=seed))
-    metrics = flatten_rows(result["rows"], label_field)
+    entry = CATALOGUE[key]
+    result = entry.run(BENCH_SETTINGS.with_overrides(seed=seed))
+    metrics = flatten_rows(result["rows"], entry.label_field)
     detail = {"title": result.get("title", ""), "rows": result["rows"]}
     return metrics, detail
 
 
 def table_grid(
     name: str,
-    table_func: Callable[[ExperimentSettings], Dict[str, Any]],
+    key: str,
     *,
     primary_metric: str,
     seed: int,
-    label_field: str = "configuration",
-    title: str = "",
     tolerance: float = 0.15,
     higher_is_better: bool = False,
 ) -> Grid:
-    """A single-cell grid wrapping one paper-table function."""
+    """A single-cell grid wrapping the catalogue experiment ``key``."""
     return Grid(
         name=name,
-        title=title or name,
+        title=CATALOGUE[key].title,
         seed=seed,
-        runner=functools.partial(run_table_cell, table_func, label_field),
+        runner=functools.partial(run_table_cell, key),
         primary_metric=primary_metric,
         tolerance=tolerance,
         higher_is_better=higher_is_better,
@@ -110,8 +108,15 @@ def table_grid(
 
 
 def table_text(result: GridResult) -> str:
-    """Render a table grid's single cell with ``tables.render``."""
-    return render(result.cells[0].detail)
+    """A table grid's cell, then its paper reference, both via ``render``.
+
+    :func:`table_grid` binds the catalogue key as the runner's argument.
+    """
+    entry = CATALOGUE[result.grid.runner.args[0]]
+    text = render(result.cells[0].detail)
+    if entry.paper:
+        text += "\n\nPaper:\n" + render({"rows": paper_rows(entry)})
+    return text
 
 
 def run_grid_bench(
@@ -134,9 +139,3 @@ def run_grid_bench(
         handle.write(text + "\n")
     write_grid_artifacts(result, OUTPUT_DIR, baseline_dir=REPO_ROOT)
     return result
-
-
-def paper_block(title: str, lines) -> str:
-    """Format the paper's numbers as a reference block."""
-    body = "\n".join(f"  {line}" for line in lines)
-    return f"{title}\n{body}"

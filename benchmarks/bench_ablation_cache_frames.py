@@ -15,7 +15,6 @@ from typing import Any, Dict
 from benchmarks._harness import (
     BENCH_SEED,
     BENCH_SETTINGS,
-    paper_block,
     run_grid_bench,
 )
 from repro.bench import Grid
@@ -23,16 +22,6 @@ from repro.experiments import CONFIGURATIONS
 from repro.experiments.sweeps import sweep_machine
 
 FRAME_COUNTS = (40, 70, 100, 150)
-
-PAPER_TEXT = paper_block(
-    "Paper (Sections 4.1.1-4.1.2):",
-    [
-        "'more cache frames were available for anticipatory paging than",
-        " the disks could feed' (baseline machine)",
-        "'availability of fewer cache frames severely affects the",
-        " performance of the parallel-access disks'",
-    ],
-)
 
 
 def cache_frames_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -59,7 +48,15 @@ GRID = Grid(
 
 
 def test_ablation_cache_frames(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Paper (Sections 4.1.1-4.1.2):\n"
+        "  'more cache frames were available for anticipatory paging than\n"
+        "   the disks could feed' (baseline machine)\n"
+        "  'availability of fewer cache frames severely affects the\n"
+        "   performance of the parallel-access disks'",
+    )
 
     def exec_ms(config, frames):
         return result.metric(configuration=config, cache_frames=frames)

@@ -15,7 +15,7 @@ rebuild's bounded share keeps the slowdown graceful.
 
 from typing import Any, Dict
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
+from benchmarks._harness import BENCH_SEED, run_grid_bench
 from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_transactions
 from repro.bench import ComponentToggle, Grid
 from repro.core import LoggingConfig, ParallelLoggingArchitecture
@@ -26,14 +26,6 @@ from repro.workload import TransactionStatus
 N_TRANSACTIONS = 8
 FAIL_AT_MS = 100.0
 REPAIR_AFTER_MS = 200.0
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 5):",
-    [
-        "'the failure of a single component ... should not render",
-        " the entire system inoperable'",
-    ],
-)
 
 
 def degraded_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -89,7 +81,13 @@ GRID = Grid(
 
 
 def test_ablation_degraded_throughput(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Paper (Section 5):\n"
+        "  'the failure of a single component ... should not render\n"
+        "   the entire system inoperable'",
+    )
     baseline = result.metric()  # all components on = healthy
     # The mirror masks its dead side completely: no request is ever lost.
     for toggles_off in (("mirror_side",), ("lp0", "mirror_side")):

@@ -10,28 +10,20 @@ queues short.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import ablation_disk_scheduling
 
 GRID = table_grid(
     "ablation_disk_scheduling",
-    ablation_disk_scheduling,
+    "disk-scheduling",
     primary_metric="mean.sstf",
     seed=BENCH_SEED,
-    title="Ablation (extension): FCFS vs SSTF disk scheduling",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper:",
-    ["(not studied — 1985 controllers were FCFS; extension ablation)"],
 )
 
 
 def test_ablation_disk_scheduling(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     for row in result.cells[0].detail["rows"]:
         assert row["sstf"] <= 1.03 * row["fcfs"], row

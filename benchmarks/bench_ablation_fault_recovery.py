@@ -13,7 +13,7 @@ almost for free; a re-crash never costs more than double a single pass.
 
 from typing import Any, Dict
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
+from benchmarks._harness import BENCH_SEED, run_grid_bench
 from repro.bench import Grid
 from repro.faults import (
     ARCHITECTURES,
@@ -26,15 +26,6 @@ from repro.faults import (
     make_manager,
 )
 from repro.faults.harness import _apply_op
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 3):",
-    [
-        "'a recovery mechanism may make collection of recovery data",
-        " relatively less expensive at the price of making recovery",
-        " from failures costly'",
-    ],
-)
 
 #: fault label -> plan factory (the harness's hook grammar; docs/FAULTS.md).
 FAULT_TYPES = ("clean-crash", "mid-commit", "recrash")
@@ -102,7 +93,14 @@ GRID = Grid(
 
 
 def test_ablation_fault_recovery(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Paper (Section 3):\n"
+        "  'a recovery mechanism may make collection of recovery data\n"
+        "   relatively less expensive at the price of making recovery\n"
+        "   from failures costly'",
+    )
 
     def work(arch, fault):
         return result.cell(architecture=arch, fault=fault).metrics

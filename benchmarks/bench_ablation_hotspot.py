@@ -9,30 +9,21 @@ pathologically small hot set drives up lock conflicts and restarts.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import ablation_hotspot
 
 GRID = table_grid(
     "ablation_hotspot",
-    ablation_hotspot,
+    "hotspot",
     primary_metric="mean.exec_ms_per_page",
     seed=BENCH_SEED,
-    label_field="workload",
-    title="Ablation (extension): hotspot skew under parallel logging",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper:",
-    ["(uniform workload only; hotspot skew is an extension ablation)"],
 )
 
 
 def test_ablation_hotspot(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     rows = {row["workload"]: row for row in result.cells[0].detail["rows"]}
     # A pathologically small hot set (0.5 % of the database) drives up
     # conflicts and restarts...

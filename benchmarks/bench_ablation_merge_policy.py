@@ -17,7 +17,6 @@ from typing import Any, Dict
 from benchmarks._harness import (
     BENCH_SEED,
     BENCH_SETTINGS,
-    paper_block,
     run_grid_bench,
 )
 from repro.analysis.merge_policy import (
@@ -29,15 +28,6 @@ from repro.bench import Grid
 from repro.core import DifferentialConfig, DifferentialFileArchitecture
 from repro.experiments import CONFIGURATIONS, run_configuration
 from repro.machine import MachineConfig
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 4.3.3):",
-    [
-        "'the differential relations will have to be frequently merged",
-        " with the base relation.  In our simulation, we have not",
-        " modeled the effect of merging'",
-    ],
-)
 
 
 def merge_policy_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -75,6 +65,13 @@ GRID = Grid(
 
 
 def test_ablation_merge_policy(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Paper (Section 4.3.3):\n"
+        "  'the differential relations will have to be frequently merged\n"
+        "   with the base relation.  In our simulation, we have not\n"
+        "   modeled the effect of merging'",
+    )
     assert result.metric("merge_cost_ms") > 60_000   # minutes of simulated time
     assert result.metric("optimal_interval_txns") > 100  # merges are rare events

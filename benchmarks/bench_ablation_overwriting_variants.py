@@ -12,31 +12,20 @@ parallel-access drives).
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import ablation_overwriting_variants
 
 GRID = table_grid(
     "ablation_overwriting_variants",
-    ablation_overwriting_variants,
+    "overwriting-variants",
     primary_metric="mean.no_undo",
     seed=BENCH_SEED,
-    title="Ablation (Sec 3.2.2.2): overwriting no-undo vs no-redo",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 3.2.2.2 describes both; Tables 7-8 evaluate no-undo):",
-    [
-        "no-redo: shadows saved to scratch, homes overwritten eagerly",
-        "no-undo: currents parked in scratch, shadows overwritten at commit",
-    ],
 )
 
 
 def test_ablation_overwriting_variants(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     for row in result.cells[0].detail["rows"]:
         assert row["no_undo"] > 0 and row["no_redo"] > 0

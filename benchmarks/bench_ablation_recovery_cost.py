@@ -19,7 +19,7 @@ spectrum.
 import random
 from typing import Any, Dict
 
-from benchmarks._harness import paper_block, run_grid_bench
+from benchmarks._harness import run_grid_bench
 from repro.bench import Grid
 from repro.storage import (
     CommandLoggingManager,
@@ -44,15 +44,6 @@ MANAGERS = {
     "command-logging": lambda: CommandLoggingManager(),
     "redo-only-wal": lambda: RedoOnlyWalManager(),
 }
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 3):",
-    [
-        "'the focus of an implementation should be on making the normal",
-        " case efficient ... even if it meant making recovery from a",
-        " failure more expensive'",
-    ],
-)
 
 
 def recovery_cost_cell(params: Dict[str, Any], seed: int) -> Dict[str, int]:
@@ -93,7 +84,14 @@ GRID = Grid(
 
 
 def test_ablation_recovery_cost(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Paper (Section 3):\n"
+        "  'the focus of an implementation should be on making the normal\n"
+        "   case efficient ... even if it meant making recovery from a\n"
+        "   failure more expensive'",
+    )
     # Shadow / version selection restart without touching data pages.
     assert result.metric(manager="shadow-pt") == 0
     assert result.metric(manager="version-selection") == 0

@@ -14,7 +14,6 @@ from typing import Any, Dict
 from benchmarks._harness import (
     BENCH_SEED,
     BENCH_SETTINGS,
-    paper_block,
     run_grid_bench,
 )
 from repro.analysis import estimate_restart
@@ -64,15 +63,6 @@ ARCHITECTURES = {
     "redo-wal": (lambda: RedoOnlyWalArchitecture(), {}),
 }
 
-PAPER_TEXT = paper_block(
-    "Paper (Section 3):",
-    [
-        "'a recovery mechanism may make collection of recovery data",
-        " relatively less expensive at the price of making recovery",
-        " from failures costly'",
-    ],
-)
-
 
 def restart_time_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     factory, kwargs = ARCHITECTURES[params["architecture"]]
@@ -101,7 +91,14 @@ GRID = Grid(
 
 
 def test_ablation_restart_time(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Paper (Section 3):\n"
+        "  'a recovery mechanism may make collection of recovery data\n"
+        "   relatively less expensive at the price of making recovery\n"
+        "   from failures costly'",
+    )
     assert result.metric(architecture="logging (1 log disk)") > result.metric(
         architecture="shadow-pt"
     )

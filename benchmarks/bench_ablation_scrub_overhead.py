@@ -15,7 +15,7 @@ share, and the rot rate on the mirrored small-drive testbed:
 
 from typing import Any, Dict
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
+from benchmarks._harness import BENCH_SEED, run_grid_bench
 from repro.bench import Grid
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -29,15 +29,6 @@ from repro.workload.generator import WorkloadConfig, generate_transactions
 
 #: The scrubtest's small-drive testbed: one patrol pass fits the run.
 SMALL_DISK = IBM_3350.with_overrides(cylinders=12)
-
-PAPER_TEXT = paper_block(
-    "Model (docs/INTEGRITY.md):",
-    [
-        "the scrubber patrols at a bounded I/O share, so a corruption-",
-        "free run pays only a small makespan overhead, while under bit",
-        "rot every sector the patrol reaches is detected and repaired.",
-    ],
-)
 
 
 def scrub_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -95,7 +86,14 @@ GRID = Grid(
 
 
 def test_ablation_scrub_overhead(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Model (docs/INTEGRITY.md):\n"
+        "  the scrubber patrols at a bounded I/O share, so a corruption-\n"
+        "  free run pays only a small makespan overhead, while under bit\n"
+        "  rot every sector the patrol reaches is detected and repaired.",
+    )
 
     def makespan(**kw):
         return result.metric("makespan_ms", **kw)

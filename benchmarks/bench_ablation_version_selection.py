@@ -13,33 +13,21 @@ of every page fit the same two drives.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import ablation_version_selection
 
 GRID = table_grid(
     "ablation_version_selection",
-    ablation_version_selection,
+    "version-selection",
     primary_metric="mean.version_selection",
     seed=BENCH_SEED,
-    title="Ablation (Sec 4.2.5): version selection vs thru page-table",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 4.2.5, no table given):",
-    [
-        "'the average time to access a data page will increase'",
-        "'the version selection algorithm will have poor performance'",
-        "'requires substantial redundant storage to hold versions'",
-    ],
 )
 
 
 def test_ablation_version_selection(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     for row in result.cells[0].detail["rows"]:
         if "random" in row["configuration"]:
             assert row["version_selection"] > row["bare"], row

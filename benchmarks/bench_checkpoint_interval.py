@@ -14,7 +14,7 @@ other way.
 
 from typing import Any, Dict
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
+from benchmarks._harness import BENCH_SEED, run_grid_bench
 from repro.analysis import checkpoint_interval_sweep
 from repro.bench import Grid
 from repro.faults import ARCHITECTURES
@@ -25,15 +25,6 @@ N_TRANSACTIONS = 40
 #: Noise slack on the monotonicity check: one extra recovery-data page
 #: read (the sweep is deterministic, but residue sizes quantize).
 SLACK_MS = 30.0
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 6):",
-    [
-        "'the frequency of checkpointing bounds the amount of log",
-        " data which must be processed at restart, at the cost of",
-        " additional work during normal operation'",
-    ],
-)
 
 
 def checkpoint_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -68,7 +59,14 @@ GRID = Grid(
 
 
 def test_checkpoint_interval(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Paper (Section 6):\n"
+        "  'the frequency of checkpointing bounds the amount of log\n"
+        "   data which must be processed at restart, at the cost of\n"
+        "   additional work during normal operation'",
+    )
     for arch in sorted(ARCHITECTURES):
         costs = [
             result.metric("restart_ms", architecture=arch, interval=interval)

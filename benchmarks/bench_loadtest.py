@@ -16,21 +16,11 @@ lands in ``BENCH_loadtest.json``.
 
 from typing import Any, Dict, Tuple
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
+from benchmarks._harness import BENCH_SEED, run_grid_bench
 from repro.bench import ComponentToggle, Grid
 from repro.loadgen import run_loadtest
 
 N_PER_CELL = 24
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 4):",
-    [
-        "the paper's closed batch caps work in flight at the MPL;",
-        "an open system must instead survive offered load above",
-        "capacity — bounded admission turns overload into rejections",
-        "instead of collapse, and the knee prices where that starts.",
-    ],
-)
 
 
 def loadtest_cell(
@@ -67,7 +57,15 @@ GRID = Grid(
 
 
 def test_bench_loadtest(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    result = run_grid_bench(
+        benchmark,
+        GRID,
+        "Paper (Section 4):\n"
+        "  the paper's closed batch caps work in flight at the MPL;\n"
+        "  an open system must instead survive offered load above\n"
+        "  capacity — bounded admission turns overload into rejections\n"
+        "  instead of collapse, and the knee prices where that starts.",
+    )
     for cell in result.cells:
         assert cell.metric("oracles_ok"), cell.cell
         assert cell.metric("knee_multiplier") > 0, (cell.cell, "no collapse knee")

@@ -8,33 +8,21 @@ of recovery data overlaps data processing) and nudges completion times.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table1_logging_impact
 
 GRID = table_grid(
     "table01",
-    table1_logging_impact,
+    "table1",
     primary_metric="mean.exec_with_log",
     seed=BENCH_SEED,
-    title="Table 1. Impact of Logging",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 1 (exec ms/page without -> with log):",
-    [
-        f"{name}: {PAPER['table1']['exec_without_log'][name]} -> "
-        f"{PAPER['table1']['exec_with_log'][name]}"
-        for name in PAPER["table1"]["exec_without_log"]
-    ],
 )
 
 
 def test_table1_logging_impact(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     for row in result.cells[0].detail["rows"]:
         # Logging must not degrade throughput by more than ~10 %.
         assert row["exec_with_log"] <= 1.10 * row["exec_without_log"], row

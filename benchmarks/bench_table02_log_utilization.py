@@ -8,29 +8,21 @@ suffices.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table2_log_utilization
 
 GRID = table_grid(
     "table02",
-    table2_log_utilization,
+    "table2",
     primary_metric="mean.log_disk_utilization",
     seed=BENCH_SEED,
-    title="Table 2. Log Characteristics (one log processor)",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 2 (log-disk utilization):",
-    [f"{name}: {value}" for name, value in PAPER["table2"].items()],
 )
 
 
 def test_table2_log_utilization(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     rows = result.cells[0].detail["rows"]
     by_config = {row["configuration"]: row for row in rows}
     assert by_config["conventional-random"]["log_disk_utilization"] < 0.08

@@ -8,34 +8,21 @@ and barely notice the mechanism.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table4_shadow_impact
 
 GRID = table_grid(
     "table04",
-    table4_shadow_impact,
+    "table4",
     primary_metric="mean.exec_1ptp",
     seed=BENCH_SEED,
-    title="Table 4. Impact of the Shadow Mechanism",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 4 (exec ms/page bare / 1 PT proc / 2 PT procs):",
-    [
-        f"{name}: {PAPER['table4']['exec_bare'][name]} / "
-        f"{PAPER['table4']['exec_1ptp'][name]} / "
-        f"{PAPER['table4']['exec_2ptp'][name]}"
-        for name in PAPER["table4"]["exec_bare"]
-    ],
 )
 
 
 def test_table4_shadow_impact(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     rows = {
         row["configuration"]: row for row in result.cells[0].detail["rows"]
     }

@@ -8,33 +8,21 @@ sequential loads the PT disk is nearly idle (0.06).
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table5_shadow_utilization
 
 GRID = table_grid(
     "table05",
-    table5_shadow_utilization,
+    "table5",
     primary_metric="mean.1ptp_pt",
     seed=BENCH_SEED,
-    title="Table 5. Average Utilization of Data and Page-Table Disks",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 5 (1 PT proc: data util / PT util):",
-    [
-        f"{name}: {PAPER['table5']['1ptp_data'][name]} / "
-        f"{PAPER['table5']['1ptp_pt'][name]}"
-        for name in PAPER["table5"]["1ptp_data"]
-    ],
 )
 
 
 def test_table5_shadow_utilization(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     rows = {
         row["configuration"]: row for row in result.cells[0].detail["rows"]
     }

@@ -7,32 +7,21 @@ turning PT-disk reads into buffer hits (and avoiding commit-time rereads).
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table6_pt_buffer
 
 GRID = table_grid(
     "table06",
-    table6_pt_buffer,
+    "table6",
     primary_metric="mean.buffer_50",
     seed=BENCH_SEED,
-    title="Table 6. Execution Time per Page (1 Page-Table Processor)",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 6 (exec ms/page, bare / buf 10 / 25 / 50):",
-    [
-        f"{kind}: {row['bare']} / {row[10]} / {row[25]} / {row[50]}"
-        for kind, row in PAPER["table6"].items()
-    ],
 )
 
 
 def test_table6_pt_buffer(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     for row in result.cells[0].detail["rows"]:
         assert row["buffer_10"] > row["bare"]          # small buffer hurts
         assert row["buffer_50"] < row["buffer_10"]     # big buffer recovers

@@ -8,32 +8,21 @@ processing.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table8_random_overwriting
 
 GRID = table_grid(
     "table08",
-    table8_random_overwriting,
+    "table8",
     primary_metric="mean.thru_pt",
     seed=BENCH_SEED,
-    title="Table 8. Execution Time per Page (Random Transactions)",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 8 (bare / thru page-table / overwriting):",
-    [
-        f"{kind}: {row['bare']} / {row['thru_pt']} / {row['overwriting']}"
-        for kind, row in PAPER["table8"].items()
-    ],
 )
 
 
 def test_table8_random_overwriting(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     rows = result.cells[0].detail["rows"]
     for row in rows:
         assert row["overwriting"] > row["bare"]

@@ -9,34 +9,21 @@ sequential loads badly.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table9_differential_impact
 
 GRID = table_grid(
     "table09",
-    table9_differential_impact,
+    "table9",
     primary_metric="mean.exec_optimal",
     seed=BENCH_SEED,
-    title="Table 9. Impact of the Differential File Mechanism",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 9 (exec ms/page bare / basic / optimal):",
-    [
-        f"{name}: {PAPER['table9']['exec_bare'][name]} / "
-        f"{PAPER['table9']['exec_basic'][name]} / "
-        f"{PAPER['table9']['exec_optimal'][name]}"
-        for name in PAPER["table9"]["exec_bare"]
-    ],
 )
 
 
 def test_table9_differential_impact(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     rows = result.cells[0].detail["rows"]
     basics = [row["exec_basic"] for row in rows]
     # CPU-bound flattening: all four basic numbers within 25 % of each other.

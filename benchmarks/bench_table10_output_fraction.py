@@ -8,32 +8,21 @@ sublinear growth.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table10_output_fraction
 
 GRID = table_grid(
     "table10",
-    table10_output_fraction,
+    "table10",
     primary_metric="mean.output_20pct",
     seed=BENCH_SEED,
-    title="Table 10. Effect of Output Fraction on Execution Time per Page",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 10 (exec ms/page, bare / 10% / 20% / 50%):",
-    [
-        f"{name}: {row['bare']} / {row[0.10]} / {row[0.20]} / {row[0.50]}"
-        for name, row in PAPER["table10"].items()
-    ],
 )
 
 
 def test_table10_output_fraction(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     for row in result.cells[0].detail["rows"]:
         # Quintupling the output fraction costs far less than 5x.
         assert row["output_50pct"] < 1.35 * row["output_10pct"], row

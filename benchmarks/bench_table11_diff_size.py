@@ -8,32 +8,21 @@ set-difference work saturate the query processors (paper: 19.2 -> 24.8 ->
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table11_differential_size
 
 GRID = table_grid(
     "table11",
-    table11_differential_size,
+    "table11",
     primary_metric="mean.size_15pct",
     seed=BENCH_SEED,
-    title="Table 11. Effect of Size of Differential Files",
-)
-
-PAPER_TEXT = paper_block(
-    "Paper Table 11 (exec ms/page, bare / 10% / 15% / 20%):",
-    [
-        f"{name}: {row['bare']} / {row[0.10]} / {row[0.15]} / {row[0.20]}"
-        for name, row in PAPER["table11"].items()
-    ],
 )
 
 
 def test_table11_differential_size(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT, text_fn=table_text)
+    result = run_grid_bench(benchmark, GRID, text_fn=table_text)
     for row in result.cells[0].detail["rows"]:
         e10, e15, e20 = row["size_10pct"], row["size_15pct"], row["size_20pct"]
         assert e10 < e15 < e20, row

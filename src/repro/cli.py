@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis import checkpoint_interval_sweep, predict_bottleneck
 from repro.bench import (
@@ -30,31 +30,11 @@ from repro.bench import (
 from repro.bench.spec import BenchSpecError
 from repro.faults import FaultPlan, run_crashtest, run_scenario
 from repro.metrics import format_table
-from repro.experiments import (
-    ExperimentSettings,
-    ablation_checkpointing,
-    ablation_disk_scheduling,
-    ablation_hotspot,
-    ablation_interconnect,
-    ablation_overwriting_variants,
-    ablation_version_selection,
-    table1_logging_impact,
-    table2_log_utilization,
-    table3_parallel_logging,
-    table4_shadow_impact,
-    table5_shadow_utilization,
-    table6_pt_buffer,
-    table7_sequential_shadow,
-    table8_random_overwriting,
-    table9_differential_impact,
-    table10_output_fraction,
-    table11_differential_size,
-    table12_comparison,
-)
+from repro.experiments import ExperimentSettings
 from repro.experiments.fidelity import fidelity_summary
 from repro.experiments.report import generate_report
 from repro.experiments.runner import CONFIGURATIONS
-from repro.experiments.tables import render
+from repro.experiments.tables import ABLATIONS, CATALOGUE, TABLES, render
 from repro.experiments.tracing import (
     SIM_ARCHITECTURES,
     render_diff,
@@ -77,31 +57,6 @@ from repro.trace import (
 
 __all__ = ["main"]
 
-TABLES: Dict[int, Callable] = {
-    1: table1_logging_impact,
-    2: table2_log_utilization,
-    3: table3_parallel_logging,
-    4: table4_shadow_impact,
-    5: table5_shadow_utilization,
-    6: table6_pt_buffer,
-    7: table7_sequential_shadow,
-    8: table8_random_overwriting,
-    9: table9_differential_impact,
-    10: table10_output_fraction,
-    11: table11_differential_size,
-    12: table12_comparison,
-}
-
-ABLATIONS: Dict[str, Callable] = {
-    "checkpointing": ablation_checkpointing,
-    "disk-scheduling": ablation_disk_scheduling,
-    "hotspot": ablation_hotspot,
-    "interconnect": ablation_interconnect,
-    "version-selection": ablation_version_selection,
-    "overwriting-variants": ablation_overwriting_variants,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -115,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables", help="list the reproducible experiments")
 
     table = sub.add_parser("table", help="regenerate one paper table")
-    table.add_argument("number", type=int, choices=sorted(TABLES))
+    table.add_argument("number", type=int, choices=[e.number for e in TABLES])
     table.add_argument(
         "-n",
         "--transactions",
@@ -126,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--seed", type=int, default=1985, help="machine seed")
 
     ablation = sub.add_parser("ablation", help="run one ablation study")
-    ablation.add_argument("name", choices=sorted(ABLATIONS))
+    ablation.add_argument("name", choices=sorted(e.key for e in ABLATIONS))
     ablation.add_argument("-n", "--transactions", type=int, default=30)
     ablation.add_argument("--seed", type=int, default=1985)
 
@@ -139,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "-t",
         "--table",
         type=int,
+        choices=[e.number for e in TABLES],
         action="append",
         dest="only_tables",
         help="limit to specific tables (repeatable)",
@@ -816,22 +772,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "tables":
-        for number in sorted(TABLES):
-            doc = (TABLES[number].__doc__ or "").strip().splitlines()[0]
-            print(f"table {number:>2}: {doc}")
-        for name in sorted(ABLATIONS):
-            doc = (ABLATIONS[name].__doc__ or "").strip().splitlines()[0]
-            print(f"ablation {name}: {doc}")
+        for entry in CATALOGUE.values():
+            kind = f"table {entry.number:>2}" if entry.number else f"ablation {entry.key}"
+            print(f"{kind}: {entry.description}")
         return 0
 
-    if args.command == "table":
-        result = TABLES[args.number](_settings(args))
-        print(render(result))
-        return 0
-
-    if args.command == "ablation":
-        result = ABLATIONS[args.name](_settings(args))
-        print(render(result))
+    if args.command in ("table", "ablation"):
+        key = f"table{args.number}" if args.command == "table" else args.name
+        print(render(CATALOGUE[key].run(_settings(args))))
         return 0
 
     if args.command == "report":

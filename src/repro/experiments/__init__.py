@@ -1,8 +1,10 @@
 """Per-table experiment configurations and runners.
 
-Every table (1-12) of the paper's evaluation has a function here that runs
-the corresponding simulations and returns structured rows; the benchmark
-harness under ``benchmarks/`` prints them next to the paper's numbers.
+Every table (1-12) of the paper's evaluation, and every ablation from its
+text, is one entry of ``CATALOGUE`` (see :mod:`repro.experiments.tables`)
+with a function that runs the simulations and returns structured rows;
+the CLI, the report, the fidelity scorer and the benchmark harness under
+``benchmarks/`` all read the catalogue.
 """
 
 from repro.experiments.paper import PAPER
@@ -13,6 +15,8 @@ from repro.experiments.runner import (
     run_configuration,
 )
 from repro.experiments.tables import (
+    CATALOGUE,
+    Experiment,
     ablation_checkpointing,
     ablation_disk_scheduling,
     ablation_hotspot,
@@ -34,8 +38,10 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
+    "CATALOGUE",
     "CONFIGURATIONS",
     "Configuration",
+    "Experiment",
     "ExperimentSettings",
     "PAPER",
     "ablation_checkpointing",

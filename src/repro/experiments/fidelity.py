@@ -6,33 +6,22 @@ absolute relative error — a single number tracking whether model changes
 move the reproduction toward or away from the paper.  Exposed as
 ``python -m repro fidelity``.
 
-Not every cell pairs automatically (Table 3's grid and Table 5's
-utilizations have bespoke layouts), so the summary covers the execution
--time tables where rows and columns line up one-to-one; that is already
-40+ cells across eight tables.
+Each table in :data:`repro.experiments.tables.CATALOGUE` names the
+columns it scores; :func:`pair_cells` pairs those cells of every measured
+row with the paper's value under the same row label and column name.
+Tables 3 and 5 score none, so the summary covers 122 cells across ten
+tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.paper import PAPER
 from repro.experiments.runner import ExperimentSettings
-from repro.experiments.tables import (
-    table1_logging_impact,
-    table2_log_utilization,
-    table4_shadow_impact,
-    table6_pt_buffer,
-    table7_sequential_shadow,
-    table8_random_overwriting,
-    table9_differential_impact,
-    table10_output_fraction,
-    table11_differential_size,
-    table12_comparison,
-)
+from repro.experiments.tables import TABLES, Experiment
 
-__all__ = ["CellComparison", "FidelityReport", "fidelity_summary"]
+__all__ = ["CellComparison", "FidelityReport", "fidelity_summary", "pair_cells"]
 
 
 @dataclass(frozen=True)
@@ -89,129 +78,18 @@ class FidelityReport:
         return "\n".join(lines)
 
 
-# Each entry: table name, runner, and a pairing function
-# rows -> [(cell label, measured, paper)].
-def _pairs_table1(rows) -> List[Tuple[str, float, float]]:
-    out = []
+def pair_cells(entry: Experiment, rows: List[Dict]) -> List[CellComparison]:
+    """Pair every scored cell of ``rows`` with ``entry``'s paper value."""
+    cells = []
     for row in rows:
-        name = row["configuration"]
-        out.append((f"{name}/without", row["exec_without_log"], PAPER["table1"]["exec_without_log"][name]))
-        out.append((f"{name}/with", row["exec_with_log"], PAPER["table1"]["exec_with_log"][name]))
-    return out
-
-
-def _pairs_table2(rows):
-    return [
-        (row["configuration"], row["log_disk_utilization"], PAPER["table2"][row["configuration"]])
-        for row in rows
-    ]
-
-
-def _pairs_table4(rows):
-    out = []
-    for row in rows:
-        name = row["configuration"]
-        for column, key in (("exec_bare", "exec_bare"), ("exec_1ptp", "exec_1ptp"), ("exec_2ptp", "exec_2ptp")):
-            out.append((f"{name}/{column}", row[column], PAPER["table4"][key][name]))
-    return out
-
-
-def _pairs_table6(rows):
-    out = []
-    for row in rows:
-        kind = "conventional" if row["configuration"].startswith("conv") else "parallel"
-        paper_row = PAPER["table6"][kind]
-        out.append((f"{kind}/bare", row["bare"], paper_row["bare"]))
-        for size in (10, 25, 50):
-            out.append((f"{kind}/buf{size}", row[f"buffer_{size}"], paper_row[size]))
-    return out
-
-
-def _pairs_table7(rows):
-    out = []
-    for row in rows:
-        kind = "conventional" if row["configuration"].startswith("conv") else "parallel"
-        paper_row = PAPER["table7"][kind]
-        for column in ("bare", "clustered", "scrambled", "overwriting"):
-            out.append((f"{kind}/{column}", row[column], paper_row[column]))
-    return out
-
-
-def _pairs_table8(rows):
-    out = []
-    for row in rows:
-        kind = "conventional" if row["configuration"].startswith("conv") else "parallel"
-        paper_row = PAPER["table8"][kind]
-        for column in ("bare", "thru_pt", "overwriting"):
-            out.append((f"{kind}/{column}", row[column], paper_row[column]))
-    return out
-
-
-def _pairs_table9(rows):
-    out = []
-    for row in rows:
-        name = row["configuration"]
-        for column in ("exec_bare", "exec_basic", "exec_optimal"):
-            out.append((f"{name}/{column}", row[column], PAPER["table9"][column][name]))
-    return out
-
-
-def _pairs_table10(rows):
-    out = []
-    for row in rows:
-        name = row["configuration"]
-        paper_row = PAPER["table10"][name]
-        out.append((f"{name}/bare", row["bare"], paper_row["bare"]))
-        for fraction in (0.10, 0.20, 0.50):
-            out.append(
-                (
-                    f"{name}/{int(fraction * 100)}pct",
-                    row[f"output_{int(fraction * 100)}pct"],
-                    paper_row[fraction],
+        label = row[entry.label_field]
+        for column in entry.scored:
+            cells.append(
+                CellComparison(
+                    entry.key, f"{label}/{column}", row[column], entry.paper[label][column]
                 )
             )
-    return out
-
-
-def _pairs_table11(rows):
-    out = []
-    for row in rows:
-        name = row["configuration"]
-        paper_row = PAPER["table11"][name]
-        out.append((f"{name}/bare", row["bare"], paper_row["bare"]))
-        for size in (0.10, 0.15, 0.20):
-            out.append(
-                (
-                    f"{name}/{int(size * 100)}pct",
-                    row[f"size_{int(size * 100)}pct"],
-                    paper_row[size],
-                )
-            )
-    return out
-
-
-def _pairs_table12(rows):
-    out = []
-    for row in rows:
-        name = row["configuration"]
-        paper_row = PAPER["table12"][name]
-        for column in paper_row:
-            out.append((f"{name}/{column}", row[column], paper_row[column]))
-    return out
-
-
-_TABLES: Tuple[Tuple[str, Callable, Callable], ...] = (
-    ("table1", table1_logging_impact, _pairs_table1),
-    ("table2", table2_log_utilization, _pairs_table2),
-    ("table4", table4_shadow_impact, _pairs_table4),
-    ("table6", table6_pt_buffer, _pairs_table6),
-    ("table7", table7_sequential_shadow, _pairs_table7),
-    ("table8", table8_random_overwriting, _pairs_table8),
-    ("table9", table9_differential_impact, _pairs_table9),
-    ("table10", table10_output_fraction, _pairs_table10),
-    ("table11", table11_differential_size, _pairs_table11),
-    ("table12", table12_comparison, _pairs_table12),
-)
+    return cells
 
 
 def fidelity_summary(
@@ -221,10 +99,7 @@ def fidelity_summary(
     """Run the pairable tables and score measured vs paper cell by cell."""
     settings = settings or ExperimentSettings()
     cells: List[CellComparison] = []
-    for name, runner, pairing in _TABLES:
-        if tables is not None and name not in tables:
-            continue
-        result = runner(settings)
-        for label, measured, paper in pairing(result["rows"]):
-            cells.append(CellComparison(name, label, measured, paper))
+    for entry in TABLES:
+        if entry.scored and (tables is None or entry.key in tables):
+            cells += pair_cells(entry, entry.run(settings)["rows"])
     return FidelityReport(cells)

@@ -1,14 +1,26 @@
-"""One function per paper table (plus the ablations the text describes).
+"""The paper's experiments, declared once.
 
-Each function runs the simulations for its table and returns a dict with a
-``"rows"`` list (one dict per table row, measured values) and a ``"paper"``
-reference to the published numbers.  ``render(result)`` on any of them
+:data:`CATALOGUE` is the one place an experiment is declared: the twelve
+paper tables and the six ablations the text describes, in report order.
+Each :class:`Experiment` gives its key and table number, title and
+one-line description, the function that prices it, its ``PAPER``
+reference and the columns the fidelity scorer compares.  ``repro
+tables``/``table``/``ablation``/``report``/``fidelity``,
+:func:`repro.experiments.report.generate_report` and the benchmark
+harness all read it; adding an experiment means adding one entry here.
+
+Each function prices its rows through :func:`_row` and returns a dict
+with a ``"title"``, a ``"rows"`` list (one dict per table row, measured
+values) and the ``"paper"`` reference.  ``render(result)`` on any of them
 produces an aligned plain-text table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.bare import BareArchitecture
 from repro.core.differential import DifferentialConfig, DifferentialFileArchitecture
@@ -33,15 +45,21 @@ from repro.experiments.runner import (
     ExperimentSettings,
     run_configuration,
 )
+from repro.metrics.collectors import RunResult
 from repro.metrics.report import format_table
 
 __all__ = [
+    "ABLATIONS",
+    "CATALOGUE",
+    "Experiment",
+    "TABLES",
     "ablation_checkpointing",
     "ablation_disk_scheduling",
     "ablation_hotspot",
     "ablation_interconnect",
     "ablation_overwriting_variants",
     "ablation_version_selection",
+    "paper_rows",
     "render",
     "table1_logging_impact",
     "table2_log_utilization",
@@ -64,9 +82,29 @@ TABLE3_MACHINE = {
     "prefetch_window": 48,
 }
 
+#: A run of a row: ``(architecture builder or None, its options, machine
+#: overrides)``; see :func:`_run`.
+Run = Tuple[Optional[Callable[..., Any]], Dict[str, Any], Dict[str, Any]]
+#: A column of a row: ``(run name, measure of that run's RunResult)``.
+Column = Tuple[str, Callable[[RunResult], Any]]
 
-def _settings(settings: Optional[ExperimentSettings]) -> ExperimentSettings:
-    return settings or ExperimentSettings()
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper table or ablation: what it is, how to price and score it."""
+
+    key: str
+    #: The paper's table number; ``None`` for an ablation.
+    number: Optional[int]
+    title: str
+    description: str
+    #: ``run(settings) -> {"title", "rows", "paper"}``.
+    run: Callable[..., Dict]
+    paper: Optional[Dict] = None
+    #: Columns the fidelity scorer pairs with ``paper``, row by row.
+    scored: Tuple[str, ...] = ()
+    #: The row field naming each row (the ``paper`` reference's keys).
+    label_field: str = "configuration"
 
 
 def render(result: Dict) -> str:
@@ -80,55 +118,129 @@ def render(result: Dict) -> str:
     )
 
 
-# --------------------------------------------------------------------------- 1
-def table1_logging_impact(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 1: impact of (logical) logging with one log disk."""
-    settings = _settings(settings)
-    rows: List[Dict] = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        logged = run_configuration(
-            config, lambda: ParallelLoggingArchitecture(LoggingConfig()), settings
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "exec_without_log": round(bare.execution_time_per_page, 2),
-                "exec_with_log": round(logged.execution_time_per_page, 2),
-                "completion_without_log": round(bare.mean_completion_ms, 1),
-                "completion_with_log": round(logged.mean_completion_ms, 1),
-            }
-        )
-    return {"title": "Table 1. Impact of Logging", "rows": rows, "paper": PAPER["table1"]}
+def paper_rows(entry: Experiment) -> List[Dict]:
+    """``entry``'s paper reference as rows shaped like its measured rows."""
+    return [
+        {entry.label_field: label, **columns}
+        for label, columns in (entry.paper or {}).items()
+    ]
 
 
-# --------------------------------------------------------------------------- 2
-def table2_log_utilization(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 2: log-disk utilization with one log processor."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        result = run_configuration(
-            CONFIGURATIONS[name],
-            lambda: ParallelLoggingArchitecture(LoggingConfig()),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "log_disk_utilization": round(result.utilization("log_disks"), 3),
-                "paper": PAPER["table2"][name],
-            }
-        )
+# ------------------------------------------------------------------ row helper
+def _logging(**options) -> ParallelLoggingArchitecture:
+    return ParallelLoggingArchitecture(LoggingConfig(**options))
+
+
+def _shadow(**options) -> PageTableShadowArchitecture:
+    return PageTableShadowArchitecture(ShadowConfig(**options))
+
+
+def _differential(**options) -> DifferentialFileArchitecture:
+    return DifferentialFileArchitecture(DifferentialConfig(**options))
+
+
+def _run(build: Optional[Callable[..., Any]] = None, machine=None, **options) -> Run:
+    """A run: ``build(**options)`` (``None``: the bare machine), optionally
+    on a machine with ``machine`` overrides."""
+    return build, options, machine or {}
+
+
+def _exec(result: RunResult) -> float:
+    return round(result.execution_time_per_page, 2)
+
+
+def _completion(result: RunResult) -> float:
+    return round(result.mean_completion_ms, 1)
+
+
+def _utilization(resource: str, digits: int, result: RunResult) -> float:
+    return round(result.utilization(resource), digits)
+
+
+def _exec_and_completion(runs: Mapping[str, Run]) -> Dict[str, Column]:
+    """``exec_<run>`` for every run, then ``completion_<run>``."""
     return {
-        "title": "Table 2. Log Characteristics (one log processor)",
-        "rows": rows,
-        "paper": PAPER["table2"],
+        f"{prefix}_{name}": (name, measure)
+        for prefix, measure in (("exec", _exec), ("completion", _completion))
+        for name in runs
     }
 
 
-# --------------------------------------------------------------------------- 3
+def _row(
+    settings: Optional[ExperimentSettings],
+    label: Any,
+    runs: Mapping[str, Run],
+    columns: Optional[Mapping[str, Column]] = None,
+    *,
+    configuration: Optional[str] = None,
+    label_field: str = "configuration",
+    machine_overrides: Optional[dict] = None,
+    workload_overrides: Optional[dict] = None,
+) -> Dict:
+    """Price one table row: one simulation per run, one value per column.
+
+    Every run is a zero-argument ``functools.partial`` of its builder,
+    bound here, so a recorded factory builds its own cell's architecture.
+    ``configuration`` (default: the row label) names the machine/workload
+    configuration of every run.  ``columns`` maps each column to ``(run,
+    measure)``; by default each run is one column of execution time per
+    page.
+    """
+    config = CONFIGURATIONS[configuration or label]
+    results = {}
+    for name, (build, options, machine) in runs.items():
+        results[name] = run_configuration(
+            config,
+            None if build is None else partial(build, **options),
+            settings,
+            machine_overrides={**(machine_overrides or {}), **machine},
+            workload_overrides=workload_overrides,
+        )
+    columns = columns or {name: (name, _exec) for name in runs}
+    row = {label_field: label}
+    for column, (name, measure) in columns.items():
+        row[column] = measure(results[name])
+    return row
+
+
+def _result(key: str, rows: List[Dict]) -> Dict:
+    entry = CATALOGUE[key]
+    return {"title": entry.title, "rows": rows, "paper": entry.paper}
+
+
+_PT_PROCESSORS = {
+    "bare": _run(),
+    "1ptp": _run(_shadow, n_pt_processors=1),
+    "2ptp": _run(_shadow, n_pt_processors=2),
+}
+
+
+# ---------------------------------------------------------------------- tables
+def table1_logging_impact(settings: Optional[ExperimentSettings] = None) -> Dict:
+    """Table 1: impact of (logical) logging with one log disk."""
+    runs = {"without_log": _run(), "with_log": _run(_logging)}
+    columns = _exec_and_completion(runs)
+    return _result(
+        "table1", [_row(settings, name, runs, columns) for name in CONFIG_NAMES]
+    )
+
+
+def table2_log_utilization(settings: Optional[ExperimentSettings] = None) -> Dict:
+    """Table 2: log-disk utilization with one log processor."""
+    runs = {"logging": _run(_logging)}
+    columns = {"log_disk_utilization": ("logging", partial(_utilization, "log_disks", 3))}
+    return _result(
+        "table2",
+        [
+            {
+                **_row(settings, name, runs, columns),
+                "paper": PAPER["table2"][name]["log_disk_utilization"],
+            }
+            for name in CONFIG_NAMES
+        ],
+    )
+
+
 def table3_parallel_logging(
     settings: Optional[ExperimentSettings] = None,
     n_log_disks=(1, 2, 3, 4, 5),
@@ -138,395 +250,182 @@ def table3_parallel_logging(
     Testbed: 75 query processors, 2 parallel-access data disks, 150 cache
     frames, sequential transactions.
     """
-    settings = _settings(settings)
-    config = CONFIGURATIONS["parallel-sequential"]
-    policies = [
+    policies = (
         SelectionPolicy.CYCLIC,
         SelectionPolicy.RANDOM,
         SelectionPolicy.QP_MOD,
         SelectionPolicy.TXN_MOD,
-    ]
-    rows = []
-    for n in n_log_disks:
-        row: Dict = {"n_log_disks": n}
-        for policy in policies:
-            result = run_configuration(
-                config,
-                lambda: ParallelLoggingArchitecture(
-                    LoggingConfig(
-                        n_log_processors=n,
-                        mode=LogMode.PHYSICAL,
-                        selection=policy,
-                    )
-                ),
-                settings,
-                machine_overrides=TABLE3_MACHINE,
-            )
-            row[f"exec_{policy.value}"] = round(result.execution_time_per_page, 2)
-            row[f"compl_{policy.value}"] = round(result.mean_completion_ms, 1)
-        rows.append(row)
-    bare = run_configuration(config, None, settings, machine_overrides=TABLE3_MACHINE)
-    rows.append(
-        {
-            "n_log_disks": "w/o logging",
-            **{
-                f"exec_{p.value}": round(bare.execution_time_per_page, 2)
-                for p in policies
-            },
-            **{
-                f"compl_{p.value}": round(bare.mean_completion_ms, 1)
-                for p in policies
-            },
-        }
     )
-    return {
-        "title": "Table 3. Parallel Logging and Selection Algorithms "
-        "(75 QPs, 2 parallel-access disks, 150 frames)",
-        "rows": rows,
-        "paper": PAPER["table3"],
+    columns = {
+        f"{prefix}_{policy.value}": (policy.value, measure)
+        for policy in policies
+        for prefix, measure in (("exec", _exec), ("compl", _completion))
     }
+    testbed = {
+        "configuration": "parallel-sequential",
+        "label_field": "n_log_disks",
+        "machine_overrides": TABLE3_MACHINE,
+    }
+    rows = [
+        _row(
+            settings,
+            n,
+            {
+                policy.value: _run(
+                    _logging, n_log_processors=n, mode=LogMode.PHYSICAL, selection=policy
+                )
+                for policy in policies
+            },
+            columns,
+            **testbed,
+        )
+        for n in n_log_disks
+    ]
+    bare = {column: ("bare", measure) for column, (_, measure) in columns.items()}
+    rows.append(_row(settings, "w/o logging", {"bare": _run()}, bare, **testbed))
+    return _result("table3", rows)
 
 
-# --------------------------------------------------------------------------- 4
 def table4_shadow_impact(settings: Optional[ExperimentSettings] = None) -> Dict:
     """Table 4: impact of the shadow mechanism, 1 vs 2 PT processors."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        one = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(n_pt_processors=1)),
-            settings,
-        )
-        two = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(n_pt_processors=2)),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "exec_bare": round(bare.execution_time_per_page, 2),
-                "exec_1ptp": round(one.execution_time_per_page, 2),
-                "exec_2ptp": round(two.execution_time_per_page, 2),
-                "completion_bare": round(bare.mean_completion_ms, 1),
-                "completion_1ptp": round(one.mean_completion_ms, 1),
-                "completion_2ptp": round(two.mean_completion_ms, 1),
-            }
-        )
-    return {
-        "title": "Table 4. Impact of the Shadow Mechanism",
-        "rows": rows,
-        "paper": PAPER["table4"],
-    }
+    columns = _exec_and_completion(_PT_PROCESSORS)
+    return _result(
+        "table4",
+        [_row(settings, name, _PT_PROCESSORS, columns) for name in CONFIG_NAMES],
+    )
 
 
-# --------------------------------------------------------------------------- 5
 def table5_shadow_utilization(settings: Optional[ExperimentSettings] = None) -> Dict:
     """Table 5: average utilization of data and page-table disks."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        one = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(n_pt_processors=1)),
-            settings,
-        )
-        two = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(n_pt_processors=2)),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "bare_data": round(bare.utilization("data_disks"), 2),
-                "1ptp_data": round(one.utilization("data_disks"), 2),
-                "1ptp_pt": round(one.utilization("pt_disks"), 2),
-                "2ptp_data": round(two.utilization("data_disks"), 2),
-                "2ptp_pt": round(two.utilization("pt_disks"), 2),
-            }
-        )
-    return {
-        "title": "Table 5. Average Utilization of Data and Page-Table Disks",
-        "rows": rows,
-        "paper": PAPER["table5"],
+    data = partial(_utilization, "data_disks", 2)
+    pt = partial(_utilization, "pt_disks", 2)
+    columns = {
+        "bare_data": ("bare", data),
+        "1ptp_data": ("1ptp", data),
+        "1ptp_pt": ("1ptp", pt),
+        "2ptp_data": ("2ptp", data),
+        "2ptp_pt": ("2ptp", pt),
     }
+    return _result(
+        "table5",
+        [_row(settings, name, _PT_PROCESSORS, columns) for name in CONFIG_NAMES],
+    )
 
 
-# --------------------------------------------------------------------------- 6
 def table6_pt_buffer(
     settings: Optional[ExperimentSettings] = None, buffer_sizes=(10, 25, 50)
 ) -> Dict:
     """Table 6: page-table buffer size, 1 PT processor, random txns."""
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "parallel-random"):
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        bare = run_configuration(config, None, settings)
-        row["bare"] = round(bare.execution_time_per_page, 2)
-        for size in buffer_sizes:
-            result = run_configuration(
-                config,
-                lambda: PageTableShadowArchitecture(
-                    ShadowConfig(pt_buffer_pages=size)
-                ),
-                settings,
-            )
-            row[f"buffer_{size}"] = round(result.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Table 6. Execution Time per Page (1 Page-Table Processor)",
-        "rows": rows,
-        "paper": PAPER["table6"],
-    }
+    runs = {"bare": _run()}
+    for size in buffer_sizes:
+        runs[f"buffer_{size}"] = _run(_shadow, pt_buffer_pages=size)
+    return _result(
+        "table6",
+        [_row(settings, name, runs) for name in ("conventional-random", "parallel-random")],
+    )
 
 
-# --------------------------------------------------------------------------- 7
 def table7_sequential_shadow(settings: Optional[ExperimentSettings] = None) -> Dict:
     """Table 7: sequential txns — clustered / scrambled / overwriting."""
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-sequential", "parallel-sequential"):
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        clustered = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(clustered=True)),
-            settings,
-        )
-        scrambled = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(clustered=False)),
-            settings,
-        )
-        overwriting = run_configuration(
-            config, lambda: OverwritingArchitecture(), settings
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "bare": round(bare.execution_time_per_page, 2),
-                "clustered": round(clustered.execution_time_per_page, 2),
-                "scrambled": round(scrambled.execution_time_per_page, 2),
-                "overwriting": round(overwriting.execution_time_per_page, 2),
-            }
-        )
-    return {
-        "title": "Table 7. Execution Time per Page (Sequential Transactions)",
-        "rows": rows,
-        "paper": PAPER["table7"],
+    runs = {
+        "bare": _run(),
+        "clustered": _run(_shadow, clustered=True),
+        "scrambled": _run(_shadow, clustered=False),
+        "overwriting": _run(OverwritingArchitecture),
     }
+    return _result(
+        "table7",
+        [
+            _row(settings, name, runs)
+            for name in ("conventional-sequential", "parallel-sequential")
+        ],
+    )
 
 
-# --------------------------------------------------------------------------- 8
 def table8_random_overwriting(settings: Optional[ExperimentSettings] = None) -> Dict:
     """Table 8: random txns — thru page-table vs overwriting."""
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "parallel-random"):
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        thru_pt = run_configuration(
-            config, lambda: PageTableShadowArchitecture(ShadowConfig()), settings
-        )
-        overwriting = run_configuration(
-            config, lambda: OverwritingArchitecture(), settings
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "bare": round(bare.execution_time_per_page, 2),
-                "thru_pt": round(thru_pt.execution_time_per_page, 2),
-                "overwriting": round(overwriting.execution_time_per_page, 2),
-            }
-        )
-    return {
-        "title": "Table 8. Execution Time per Page (Random Transactions)",
-        "rows": rows,
-        "paper": PAPER["table8"],
+    runs = {
+        "bare": _run(),
+        "thru_pt": _run(_shadow),
+        "overwriting": _run(OverwritingArchitecture),
     }
+    return _result(
+        "table8",
+        [_row(settings, name, runs) for name in ("conventional-random", "parallel-random")],
+    )
 
 
-# --------------------------------------------------------------------------- 9
 def table9_differential_impact(settings: Optional[ExperimentSettings] = None) -> Dict:
     """Table 9: differential files, basic vs optimal query processing."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        basic = run_configuration(
-            config,
-            lambda: DifferentialFileArchitecture(DifferentialConfig(optimal=False)),
-            settings,
-        )
-        optimal = run_configuration(
-            config,
-            lambda: DifferentialFileArchitecture(DifferentialConfig(optimal=True)),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "exec_bare": round(bare.execution_time_per_page, 2),
-                "exec_basic": round(basic.execution_time_per_page, 2),
-                "exec_optimal": round(optimal.execution_time_per_page, 2),
-                "completion_bare": round(bare.mean_completion_ms, 1),
-                "completion_basic": round(basic.mean_completion_ms, 1),
-                "completion_optimal": round(optimal.mean_completion_ms, 1),
-            }
-        )
-    return {
-        "title": "Table 9. Impact of the Differential File Mechanism",
-        "rows": rows,
-        "paper": PAPER["table9"],
+    runs = {
+        "bare": _run(),
+        "basic": _run(_differential, optimal=False),
+        "optimal": _run(_differential, optimal=True),
     }
+    columns = _exec_and_completion(runs)
+    return _result(
+        "table9", [_row(settings, name, runs, columns) for name in CONFIG_NAMES]
+    )
 
 
-# -------------------------------------------------------------------------- 10
 def table10_output_fraction(
     settings: Optional[ExperimentSettings] = None, fractions=(0.10, 0.20, 0.50)
 ) -> Dict:
     """Table 10: effect of the output fraction (optimal strategy)."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        bare = run_configuration(config, None, settings)
-        row["bare"] = round(bare.execution_time_per_page, 2)
-        for fraction in fractions:
-            result = run_configuration(
-                config,
-                lambda: DifferentialFileArchitecture(
-                    DifferentialConfig(output_fraction=fraction)
-                ),
-                settings,
-            )
-            row[f"output_{int(fraction * 100)}pct"] = round(
-                result.execution_time_per_page, 2
-            )
-        rows.append(row)
-    return {
-        "title": "Table 10. Effect of Output Fraction on Execution Time per Page",
-        "rows": rows,
-        "paper": PAPER["table10"],
-    }
+    runs = {"bare": _run()}
+    for fraction in fractions:
+        runs[f"output_{round(fraction * 100)}pct"] = _run(
+            _differential, output_fraction=fraction
+        )
+    return _result("table10", [_row(settings, name, runs) for name in CONFIG_NAMES])
 
 
-# -------------------------------------------------------------------------- 11
 def table11_differential_size(
     settings: Optional[ExperimentSettings] = None, sizes=(0.10, 0.15, 0.20)
 ) -> Dict:
     """Table 11: effect of differential-file size (nonlinear degradation)."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        bare = run_configuration(config, None, settings)
-        row["bare"] = round(bare.execution_time_per_page, 2)
-        for size in sizes:
-            result = run_configuration(
-                config,
-                lambda: DifferentialFileArchitecture(
-                    DifferentialConfig(size_fraction=size)
-                ),
-                settings,
-            )
-            row[f"size_{int(size * 100)}pct"] = round(
-                result.execution_time_per_page, 2
-            )
-        rows.append(row)
-    return {
-        "title": "Table 11. Effect of Size of Differential Files",
-        "rows": rows,
-        "paper": PAPER["table11"],
-    }
+    runs = {"bare": _run()}
+    for size in sizes:
+        runs[f"size_{round(size * 100)}pct"] = _run(_differential, size_fraction=size)
+    return _result("table11", [_row(settings, name, runs) for name in CONFIG_NAMES])
 
 
-# -------------------------------------------------------------------------- 12
 def table12_comparison(settings: Optional[ExperimentSettings] = None) -> Dict:
     """Table 12: grand comparison of all recovery architectures."""
-    settings = _settings(settings)
-    architectures = {
-        "bare": lambda: BareArchitecture(),
-        "logging": lambda: ParallelLoggingArchitecture(LoggingConfig()),
-        "shadow_b10": lambda: PageTableShadowArchitecture(
-            ShadowConfig(pt_buffer_pages=10)
-        ),
-        "shadow_b50": lambda: PageTableShadowArchitecture(
-            ShadowConfig(pt_buffer_pages=50)
-        ),
-        "shadow_2ptp": lambda: PageTableShadowArchitecture(
-            ShadowConfig(n_pt_processors=2)
-        ),
-        "scrambled": lambda: PageTableShadowArchitecture(
-            ShadowConfig(clustered=False)
-        ),
-        "overwriting": lambda: OverwritingArchitecture(),
-        "differential": lambda: DifferentialFileArchitecture(DifferentialConfig()),
-        "command_logging": lambda: CommandLoggingArchitecture(),
-        "redo_wal": lambda: RedoOnlyWalArchitecture(),
+    runs = {
+        "bare": _run(BareArchitecture),
+        "logging": _run(_logging),
+        "shadow_b10": _run(_shadow, pt_buffer_pages=10),
+        "shadow_b50": _run(_shadow, pt_buffer_pages=50),
+        "shadow_2ptp": _run(_shadow, n_pt_processors=2),
+        "scrambled": _run(_shadow, clustered=False),
+        "overwriting": _run(OverwritingArchitecture),
+        "differential": _run(_differential),
+        "command_logging": _run(CommandLoggingArchitecture),
+        "redo_wal": _run(RedoOnlyWalArchitecture),
     }
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        for arch_name, factory in architectures.items():
-            result = run_configuration(config, factory, settings)
-            row[arch_name] = round(result.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Table 12. Average Execution Time per Page (in ms)",
-        "rows": rows,
-        "paper": PAPER["table12"],
-    }
+    return _result("table12", [_row(settings, name, runs) for name in CONFIG_NAMES])
 
 
-# ----------------------------------------------------------------- ablations
+# ------------------------------------------------------------------- ablations
 def ablation_interconnect(
     settings: Optional[ExperimentSettings] = None,
     bandwidths=(1.0, 0.1, 0.01),
 ) -> Dict:
     """Section 4.1.3: logging is insensitive to the QP<->LP medium."""
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "parallel-sequential"):
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        for bandwidth in bandwidths:
-            result = run_configuration(
-                config,
-                lambda: ParallelLoggingArchitecture(
-                    LoggingConfig(
-                        routing=FragmentRouting.LINK,
-                        link_bandwidth_mb_s=bandwidth,
-                    )
-                ),
-                settings,
-            )
-            row[f"link_{bandwidth}MBs"] = round(result.execution_time_per_page, 2)
-        through_cache = run_configuration(
-            config,
-            lambda: ParallelLoggingArchitecture(
-                LoggingConfig(routing=FragmentRouting.CACHE)
-            ),
-            settings,
+    runs = {}
+    for bandwidth in bandwidths:
+        runs[f"link_{bandwidth}MBs"] = _run(
+            _logging, routing=FragmentRouting.LINK, link_bandwidth_mb_s=bandwidth
         )
-        row["through_cache"] = round(through_cache.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Ablation (Sec 4.1.3): QP-LP interconnect bandwidth and routing",
-        "rows": rows,
-        "paper": None,
-    }
+    runs["through_cache"] = _run(_logging, routing=FragmentRouting.CACHE)
+    return _result(
+        "interconnect",
+        [
+            _row(settings, name, runs)
+            for name in ("conventional-random", "parallel-sequential")
+        ],
+    )
 
 
 def ablation_version_selection(settings: Optional[ExperimentSettings] = None) -> Dict:
@@ -536,67 +435,29 @@ def ablation_version_selection(settings: Optional[ExperimentSettings] = None) ->
     the same drives — the comparison keeps both architectures on the
     shrunken database.
     """
-    settings = _settings(settings)
-    overrides = {"db_pages": 60_000}
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings, machine_overrides=overrides)
-        thru_pt = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig()),
-            settings,
-            machine_overrides=overrides,
-        )
-        version = run_configuration(
-            config,
-            lambda: VersionSelectionArchitecture(),
-            settings,
-            machine_overrides=overrides,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "bare": round(bare.execution_time_per_page, 2),
-                "thru_pt": round(thru_pt.execution_time_per_page, 2),
-                "version_selection": round(version.execution_time_per_page, 2),
-            }
-        )
-    return {
-        "title": "Ablation (Sec 4.2.5): version selection vs thru page-table",
-        "rows": rows,
-        "paper": None,
+    runs = {
+        "bare": _run(),
+        "thru_pt": _run(_shadow),
+        "version_selection": _run(VersionSelectionArchitecture),
     }
+    return _result(
+        "version-selection",
+        [
+            _row(settings, name, runs, machine_overrides={"db_pages": 60_000})
+            for name in CONFIG_NAMES
+        ],
+    )
 
 
 def ablation_overwriting_variants(settings: Optional[ExperimentSettings] = None) -> Dict:
     """Section 3.2.2.2: the no-undo vs the no-redo overwriting variant."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        no_undo = run_configuration(
-            config,
-            lambda: OverwritingArchitecture(OverwritingMode.NO_UNDO),
-            settings,
-        )
-        no_redo = run_configuration(
-            config,
-            lambda: OverwritingArchitecture(OverwritingMode.NO_REDO),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "no_undo": round(no_undo.execution_time_per_page, 2),
-                "no_redo": round(no_redo.execution_time_per_page, 2),
-            }
-        )
-    return {
-        "title": "Ablation (Sec 3.2.2.2): overwriting no-undo vs no-redo",
-        "rows": rows,
-        "paper": None,
+    runs = {
+        "no_undo": _run(OverwritingArchitecture, mode=OverwritingMode.NO_UNDO),
+        "no_redo": _run(OverwritingArchitecture, mode=OverwritingMode.NO_REDO),
     }
+    return _result(
+        "overwriting-variants", [_row(settings, name, runs) for name in CONFIG_NAMES]
+    )
 
 
 def ablation_disk_scheduling(settings: Optional[ExperimentSettings] = None) -> Dict:
@@ -607,25 +468,16 @@ def ablation_disk_scheduling(settings: Optional[ExperimentSettings] = None) -> D
     conventional configurations (parallel-access drives already coalesce
     whole cylinders, so they are omitted).
     """
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "conventional-sequential"):
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        for policy in ("fcfs", "sstf"):
-            result = run_configuration(
-                config,
-                None,
-                settings,
-                machine_overrides={"disk_scheduling": policy},
-            )
-            row[policy] = round(result.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Ablation (extension): FCFS vs SSTF disk scheduling",
-        "rows": rows,
-        "paper": None,
+    runs = {
+        policy: _run(machine={"disk_scheduling": policy}) for policy in ("fcfs", "sstf")
     }
+    return _result(
+        "disk-scheduling",
+        [
+            _row(settings, name, runs)
+            for name in ("conventional-random", "conventional-sequential")
+        ],
+    )
 
 
 def ablation_checkpointing(
@@ -638,27 +490,17 @@ def ablation_checkpointing(
     write one checkpoint page per log disk, fully overlapped with data
     processing — throughput should not move even at aggressive intervals.
     """
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "parallel-sequential"):
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        for interval in intervals:
-            label = "no_checkpoints" if interval is None else f"every_{int(interval)}ms"
-            result = run_configuration(
-                config,
-                lambda: ParallelLoggingArchitecture(
-                    LoggingConfig(checkpoint_interval_ms=interval)
-                ),
-                settings,
-            )
-            row[label] = round(result.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Ablation (Sec 3.1): checkpointing in parallel with processing",
-        "rows": rows,
-        "paper": None,
-    }
+    runs = {}
+    for interval in intervals:
+        label = "no_checkpoints" if interval is None else f"every_{int(interval)}ms"
+        runs[label] = _run(_logging, checkpoint_interval_ms=interval)
+    return _result(
+        "checkpointing",
+        [
+            _row(settings, name, runs)
+            for name in ("conventional-random", "parallel-sequential")
+        ],
+    )
 
 
 def ablation_hotspot(
@@ -671,30 +513,156 @@ def ablation_hotspot(
     show the architecture's performance is driven by I/O patterns, not by
     lock contention, until the hot set becomes pathologically small.
     """
-    settings = _settings(settings)
-    rows = []
-    config = CONFIGURATIONS["conventional-random"]
-    for hotspot in hotspots:
-        label = "uniform" if hotspot is None else f"hot_{hotspot:g}"
-        result = run_configuration(
-            config,
-            lambda: ParallelLoggingArchitecture(LoggingConfig()),
-            settings,
-            workload_overrides={
-                "hotspot_fraction": hotspot,
-                "hotspot_probability": 0.8,
-            },
-        )
-        rows.append(
-            {
-                "workload": label,
-                "exec_ms_per_page": round(result.execution_time_per_page, 2),
-                "lock_blocks": result.counter("lock_blocks"),
-                "restarts": result.n_restarts,
-            }
-        )
-    return {
-        "title": "Ablation (extension): hotspot skew under parallel logging",
-        "rows": rows,
-        "paper": None,
+    runs = {"logging": _run(_logging)}
+    columns = {
+        "exec_ms_per_page": ("logging", _exec),
+        "lock_blocks": ("logging", methodcaller("counter", "lock_blocks")),
+        "restarts": ("logging", attrgetter("n_restarts")),
     }
+    return _result(
+        "hotspot",
+        [
+            _row(
+                settings,
+                "uniform" if hotspot is None else f"hot_{hotspot:g}",
+                runs,
+                columns,
+                configuration="conventional-random",
+                label_field="workload",
+                workload_overrides={
+                    "hotspot_fraction": hotspot,
+                    "hotspot_probability": 0.8,
+                },
+            )
+            for hotspot in hotspots
+        ],
+    )
+
+
+# ------------------------------------------------------------------- catalogue
+#: Every experiment, in report order: the paper's tables, then the ablations.
+CATALOGUE: Dict[str, Experiment] = {
+    entry.key: entry
+    for entry in (
+        Experiment(
+            "table1", 1, "Table 1. Impact of Logging",
+            "impact of logging (logical, one log disk)",
+            table1_logging_impact, PAPER["table1"],
+            scored=("exec_without_log", "exec_with_log"),
+        ),
+        Experiment(
+            "table2", 2, "Table 2. Log Characteristics (one log processor)",
+            "log-disk utilization, one log processor",
+            table2_log_utilization, PAPER["table2"],
+            scored=("log_disk_utilization",),
+        ),
+        Experiment(
+            "table3", 3,
+            "Table 3. Parallel Logging and Selection Algorithms "
+            "(75 QPs, 2 parallel-access disks, 150 frames)",
+            "physical logging, 1-5 log disks x 4 policies",
+            table3_parallel_logging, PAPER["table3"], label_field="n_log_disks",
+        ),
+        Experiment(
+            "table4", 4, "Table 4. Impact of the Shadow Mechanism",
+            "shadow mechanism, 1 vs 2 PT processors",
+            table4_shadow_impact, PAPER["table4"],
+            scored=("exec_bare", "exec_1ptp", "exec_2ptp"),
+        ),
+        Experiment(
+            "table5", 5, "Table 5. Average Utilization of Data and Page-Table Disks",
+            "data / page-table disk utilizations",
+            table5_shadow_utilization, PAPER["table5"],
+        ),
+        Experiment(
+            "table6", 6, "Table 6. Execution Time per Page (1 Page-Table Processor)",
+            "page-table buffer size",
+            table6_pt_buffer, PAPER["table6"],
+            scored=("bare", "buffer_10", "buffer_25", "buffer_50"),
+        ),
+        Experiment(
+            "table7", 7, "Table 7. Execution Time per Page (Sequential Transactions)",
+            "sequential: clustered/scrambled/overwriting",
+            table7_sequential_shadow, PAPER["table7"],
+            scored=("bare", "clustered", "scrambled", "overwriting"),
+        ),
+        Experiment(
+            "table8", 8, "Table 8. Execution Time per Page (Random Transactions)",
+            "random: thru-PT vs overwriting",
+            table8_random_overwriting, PAPER["table8"],
+            scored=("bare", "thru_pt", "overwriting"),
+        ),
+        Experiment(
+            "table9", 9, "Table 9. Impact of the Differential File Mechanism",
+            "differential files, basic vs optimal",
+            table9_differential_impact, PAPER["table9"],
+            scored=("exec_bare", "exec_basic", "exec_optimal"),
+        ),
+        Experiment(
+            "table10", 10,
+            "Table 10. Effect of Output Fraction on Execution Time per Page",
+            "output fraction",
+            table10_output_fraction, PAPER["table10"],
+            scored=("bare", "output_10pct", "output_20pct", "output_50pct"),
+        ),
+        Experiment(
+            "table11", 11, "Table 11. Effect of Size of Differential Files",
+            "differential-file size",
+            table11_differential_size, PAPER["table11"],
+            scored=("bare", "size_10pct", "size_15pct", "size_20pct"),
+        ),
+        Experiment(
+            "table12", 12, "Table 12. Average Execution Time per Page (in ms)",
+            "grand comparison of all architectures",
+            table12_comparison, PAPER["table12"],
+            scored=(
+                "bare", "logging", "shadow_b10", "shadow_b50",
+                "shadow_2ptp", "scrambled", "overwriting", "differential",
+            ),
+        ),
+        Experiment(
+            "interconnect", None,
+            "Ablation (Sec 4.1.3): QP-LP interconnect bandwidth and routing",
+            "logging is insensitive to the QP<->LP medium (Sec 4.1.3)",
+            ablation_interconnect,
+        ),
+        Experiment(
+            "version-selection", None,
+            "Ablation (Sec 4.2.5): version selection vs thru page-table",
+            "version selection vs thru page-table (Sec 4.2.5)",
+            ablation_version_selection,
+        ),
+        Experiment(
+            "overwriting-variants", None,
+            "Ablation (Sec 3.2.2.2): overwriting no-undo vs no-redo",
+            "the no-undo vs the no-redo overwriting variant (Sec 3.2.2.2)",
+            ablation_overwriting_variants,
+        ),
+        Experiment(
+            "checkpointing", None,
+            "Ablation (Sec 3.1): checkpointing in parallel with processing",
+            "parallel checkpointing costs ~nothing (Sec 3.1)",
+            ablation_checkpointing,
+        ),
+        Experiment(
+            "disk-scheduling", None,
+            "Ablation (extension): FCFS vs SSTF disk scheduling",
+            "FCFS vs SSTF data-disk scheduling on the bare machine (extension)",
+            ablation_disk_scheduling,
+        ),
+        Experiment(
+            "hotspot", None,
+            "Ablation (extension): hotspot skew under parallel logging",
+            "skewed (hotspot) reference strings under logging (extension)",
+            ablation_hotspot, label_field="workload",
+        ),
+    )
+}
+
+#: The paper's tables and the ablations, each in catalogue order.
+TABLES: Tuple[Experiment, ...] = tuple(
+    e for e in CATALOGUE.values() if e.number is not None
+)
+ABLATIONS: Tuple[Experiment, ...] = tuple(
+    e for e in CATALOGUE.values() if e.number is None
+)

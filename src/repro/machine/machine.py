@@ -31,7 +31,6 @@ from repro.machine.config import MachineConfig
 from repro.machine.locks import DeadlockAbort, LockManager, LockMode
 from repro.machine.processors import ProcessorFailure, ProcessorPool
 from repro.metrics.collectors import RunResult
-from repro.metrics.timeline import Timeline
 from repro.sim.core import Environment, Event, Process
 from repro.sim.monitor import (
     CounterStat,
@@ -72,14 +71,12 @@ class DatabaseMachine:
         config: MachineConfig,
         architecture: Optional[RecoveryArchitecture] = None,
         placement: Optional[Placement] = None,
-        timeline: Optional[Timeline] = None,
         wal_monitor: Optional[WALInvariantMonitor] = None,
         shadow_monitor: Optional[ShadowInstallMonitor] = None,
         faults=None,
         tracer=None,
     ):
         self.config = config
-        self.timeline = timeline
         #: Optional :class:`repro.trace.Tracer` (duck-typed; the machine
         #: only calls ``begin``/``end``/``instant`` through the ``_tspan``
         #: guard helpers, which are no-ops when no tracer is attached).
@@ -210,7 +207,6 @@ class DatabaseMachine:
         txn.last_durable_write = self.env.now
         if page is not None and self.shadow_monitor is not None:
             self.shadow_monitor.note_version_durable((txn.tid, page))
-        self._trace("write_durable", tid=txn.tid, pages=n)
         self._tinstant("page.durable", tid=txn.tid, pages=n)
         self.fault_hook("machine.writeback")
 
@@ -271,7 +267,6 @@ class DatabaseMachine:
             self.wal_monitor.reset()
         if self.shadow_monitor is not None:
             self.shadow_monitor.reset()
-        self._trace("machine_crash", reason=reason)
         self._tinstant("machine.crash", reason=reason)
         if not self._crash_event.triggered:
             self._crash_event.succeed(reason)
@@ -294,7 +289,6 @@ class DatabaseMachine:
         """
         self.qps.fail(index)
         self.qp_failures.increment()
-        self._trace("qp_fail", index=index)
         self._tinstant("component.fail", kind="qp", index=index)
         if self.health is None:
             self.failover_query_processor(index)
@@ -315,7 +309,6 @@ class DatabaseMachine:
     def repair_query_processor(self, index: int) -> None:
         """A repaired or replacement processor rejoins the pool."""
         self.qps.repair(index)
-        self._trace("qp_repair", index=index)
 
     def fail_data_disk(self, index: int) -> None:
         """Permanent media failure of data disk ``index``.
@@ -325,7 +318,6 @@ class DatabaseMachine:
         request errors out — only an archive restore helps (the functional
         layer's ``recover_from_media_failure``).
         """
-        self._trace("disk_fail", index=index)
         self._tinstant("component.fail", kind="disk", index=index)
         self.data_disks[index].fail()
 
@@ -462,7 +454,6 @@ class DatabaseMachine:
         env = self.env
         runtime = self.runtime(txn)
         txn.status = TransactionStatus.ACTIVE
-        self._trace("txn_begin", tid=txn.tid, attempt=txn.restarts + 1)
         tspan = self._tspan("txn", tid=txn.tid, attempt=txn.restarts + 1)
         yield from self.arch.on_begin(txn)
 
@@ -494,7 +485,6 @@ class DatabaseMachine:
             self._tend(aspan)
             self.locks.release_all(txn.tid)
             txn.status = TransactionStatus.ABORTED
-            self._trace("txn_abort", tid=txn.tid)
             self._tend(tspan, status="aborted")
             txn.reset_runtime()
             return False
@@ -505,7 +495,6 @@ class DatabaseMachine:
         self._tend(cspan)
         self.locks.release_all(txn.tid)
         txn.status = TransactionStatus.COMMITTED
-        self._trace("txn_commit", tid=txn.tid)
         if txn.write_pages and txn.last_durable_write is not None:
             txn.finish_time = txn.last_durable_write
         else:
@@ -566,7 +555,6 @@ class DatabaseMachine:
         yield request.done
         self._tend(rspan)
         self.pages_read.increment()
-        self._trace("page_read", tid=txn.tid, page=page)
         self.fault_hook("machine.page-read")
         if runtime.aborted:
             self.cache.release(1)
@@ -609,10 +597,6 @@ class DatabaseMachine:
             yield from self.qps.execute_ms(item.cpu_ms)
             self._tend(xspan)
         self.cache.release(n_frames)
-
-    def _trace(self, category: str, **fields) -> None:
-        if self.timeline is not None:
-            self.timeline.record(self.env.now, category, **fields)
 
     # ------------------------------------------------------------------ results
     def _collect(self, transactions: Sequence[Transaction]) -> RunResult:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import ABLATIONS, TABLES, main
+from repro.cli import main
+from repro.experiments.tables import ABLATIONS, TABLES
 from repro.faults import ARCHITECTURES, FaultKind, FaultPlan, FaultSpec
 
 
@@ -12,10 +13,10 @@ class TestCli:
     def test_tables_lists_all_experiments(self, capsys):
         assert main(["tables"]) == 0
         out = capsys.readouterr().out
-        for number in TABLES:
-            assert f"table {number:>2}:" in out
-        for name in ABLATIONS:
-            assert f"ablation {name}:" in out
+        for entry in TABLES:
+            assert f"table {entry.number:>2}:" in out
+        for entry in ABLATIONS:
+            assert f"ablation {entry.key}:" in out
 
     def test_table_runs_and_prints(self, capsys):
         assert main(["table", "2", "-n", "4"]) == 0
@@ -33,6 +34,12 @@ class TestCli:
     def test_invalid_table_rejected(self):
         with pytest.raises(SystemExit):
             main(["table", "13"])
+
+    def test_report_rejects_unknown_table(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "-t", "13"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_ablation_runs(self, capsys):
         assert main(["ablation", "overwriting-variants", "-n", "4"]) == 0

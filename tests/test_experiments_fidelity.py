@@ -9,7 +9,13 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import ExperimentSettings
-from repro.experiments.fidelity import CellComparison, FidelityReport, fidelity_summary
+from repro.experiments.fidelity import (
+    CellComparison,
+    FidelityReport,
+    fidelity_summary,
+    pair_cells,
+)
+from repro.experiments.tables import TABLES, paper_rows
 
 QUICK = ExperimentSettings(n_transactions=12)
 
@@ -43,6 +49,21 @@ class TestScoringMechanics:
 
     def test_empty_report(self):
         assert FidelityReport([]).mean_relative_error == 0.0
+
+    def test_paper_rows_pair_with_themselves(self):
+        """The generic pairing, with no simulation: PAPER scores itself."""
+        report = FidelityReport(
+            [cell for entry in TABLES for cell in pair_cells(entry, paper_rows(entry))]
+        )
+        assert len(report.cells) == 122
+        assert report.mean_relative_error == 0.0
+        counts = {}
+        for cell in report.cells:
+            counts[cell.table] = counts.get(cell.table, 0) + 1
+        assert counts == {
+            "table1": 8, "table2": 4, "table4": 12, "table6": 8, "table7": 8,
+            "table8": 6, "table9": 12, "table10": 16, "table11": 16, "table12": 32,
+        }
 
 
 class TestCalibrationRegression:

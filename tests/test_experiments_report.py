@@ -4,14 +4,15 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import ExperimentSettings
-from repro.experiments.report import ALL_TABLES, generate_report
+from repro.experiments.report import generate_report
+from repro.experiments.tables import TABLES
 
 TINY = ExperimentSettings(n_transactions=4)
 
 
 class TestGenerateReport:
     def test_registry_covers_all_twelve_tables(self):
-        assert [number for number, _f, _d in ALL_TABLES] == list(range(1, 13))
+        assert [entry.number for entry in TABLES] == list(range(1, 13))
 
     def test_single_table_report(self):
         text = generate_report(TINY, tables=[2])

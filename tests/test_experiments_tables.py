@@ -21,7 +21,9 @@ from repro.experiments import (
     table10_output_fraction,
     table11_differential_size,
 )
+from repro.experiments import tables
 from repro.experiments.tables import render
+from repro.metrics import RunResult
 
 TINY = ExperimentSettings(n_transactions=4)
 
@@ -38,12 +40,30 @@ class TestTableStructures:
         result = table2_log_utilization(TINY)
         for row in result["rows"]:
             assert 0.0 <= row["log_disk_utilization"] <= 1.0
-            assert row["paper"] == PAPER["table2"][row["configuration"]]
+            paper = PAPER["table2"][row["configuration"]]
+            assert row["paper"] == paper["log_disk_utilization"]
 
     def test_table6_buffer_columns(self):
         result = table6_pt_buffer(TINY, buffer_sizes=(10,))
         assert {"bare", "buffer_10"} <= set(result["rows"][0])
         assert len(result["rows"]) == 2  # the two random configurations
+
+    def test_table6_factories_bind_their_own_buffer(self, monkeypatch):
+        """Factories recorded and called later still build their own cell."""
+        recorded = []
+
+        def record(configuration, architecture=None, settings=None, **_kwargs):
+            recorded.append(architecture)
+            return RunResult(
+                architecture="recorded", makespan_ms=0.0, pages_processed=0,
+                mean_completion_ms=0.0,
+            )
+
+        monkeypatch.setattr(tables, "run_configuration", record)
+        table6_pt_buffer(TINY)
+        assert recorded[0] is None  # the first row's bare column
+        built = [factory() for factory in recorded[1:4]]
+        assert [arch.config_shadow.pt_buffer_pages for arch in built] == [10, 25, 50]
 
     def test_table7_columns(self):
         result = table7_sequential_shadow(TINY)
@@ -58,6 +78,9 @@ class TestTableStructures:
     def test_table10_fraction_columns(self):
         result = table10_output_fraction(TINY, fractions=(0.10,))
         assert "output_10pct" in result["rows"][0]
+        # int(0.29 * 100) == 28: labels must round, or two runs share a column.
+        result = table10_output_fraction(TINY, fractions=(0.28, 0.29))
+        assert {"output_28pct", "output_29pct"} <= set(result["rows"][0])
 
     def test_table11_size_columns(self):
         result = table11_differential_size(TINY, sizes=(0.10,))
@@ -105,4 +128,10 @@ class TestPaperNumbers:
             assert len(row) == 8, config
 
     def test_table3_grid_complete(self):
-        assert len(PAPER["table3"]["exec"]) == 20  # 5 disk counts x 4 policies
+        exec_cells = [
+            value
+            for n in (1, 2, 3, 4, 5)
+            for column, value in PAPER["table3"][n].items()
+            if column.startswith("exec_")
+        ]
+        assert len(exec_cells) == 20  # 5 disk counts x 4 policies

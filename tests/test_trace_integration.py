@@ -97,3 +97,45 @@ class TestFaultInstants:
         crashes = [m for m in tracer.instants if m.name == "machine.crash"]
         assert len(crashes) == 1
         assert tracer.open_spans(), "crash should cut spans open"
+
+
+class TestMachineLifecycleSpans:
+    """The machine's lifecycle, read back from a ``Tracer``."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        tracer = Tracer()
+        config = MachineConfig()
+        txns = generate_transactions(
+            WorkloadConfig(n_transactions=4, max_pages=40),
+            config.db_pages,
+            RandomStreams(3).stream("workload"),
+        )
+        DatabaseMachine(config, None, tracer=tracer).run(txns)
+        return tracer, txns
+
+    def test_one_txn_span_per_transaction(self, traced):
+        tracer, txns = traced
+        assert sorted(span.tid for span in tracer.named("txn")) == sorted(
+            txn.tid for txn in txns
+        )
+
+    def test_one_read_span_per_page_read(self, traced):
+        tracer, txns = traced
+        assert len(tracer.named("io.data.read")) == sum(t.n_reads for t in txns)
+
+    def test_durable_writes_match_write_sets(self, traced):
+        tracer, txns = traced
+        durable = sum(
+            m.args["pages"] for m in tracer.instants if m.name == "page.durable"
+        )
+        assert durable == sum(t.n_writes for t in txns)
+
+    def test_no_commit_before_its_begin(self, traced):
+        tracer, txns = traced
+        commits = tracer.named("commit")
+        assert len(commits) == len(txns)
+        for commit in commits:
+            txn_span = tracer.spans[commit.parent_sid]
+            assert txn_span.name == "txn"
+            assert commit.start >= txn_span.start

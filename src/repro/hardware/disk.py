@@ -77,6 +77,7 @@ class DiskRequest:
     __slots__ = (
         "kind",
         "addresses",
+        "cylinder",
         "done",
         "tag",
         "submitted_at",
@@ -98,6 +99,9 @@ class DiskRequest:
             raise SimulationError("request with no addresses")
         self.kind = kind
         self.addresses: Tuple[DiskAddress, ...] = tuple(addresses)
+        #: The one cylinder a parallel-access request touches, resolved
+        #: when the request enters its disk; ``None`` on conventional disks.
+        self.cylinder: Optional[int] = None
         self.done: Event = env.event()
         self.tag = tag
         self.submitted_at = env.now
@@ -166,8 +170,13 @@ class Disk:
     def submit(
         self, kind: str, addresses: Sequence[DiskAddress], tag: str = ""
     ) -> DiskRequest:
-        """Enqueue an I/O; ``request.done`` fires when it finishes."""
+        """Enqueue an I/O; ``request.done`` fires when it finishes.
+
+        A request the drive cannot serve in one access raises
+        :class:`SimulationError` here, to the submitter.
+        """
         req = DiskRequest(self.env, kind, addresses, tag)
+        self._admit(req)
         if self.failed:
             req.error = "disk-failed"
             self.failed_requests.increment()
@@ -255,6 +264,9 @@ class Disk:
                 counter = self.pages_read if req.kind == "read" else self.pages_written
                 counter.increment(req.n_pages)
                 req.done.succeed(env.now)
+
+    def _admit(self, req: DiskRequest) -> None:
+        """Validate a request as it enters; the default accepts any."""
 
     def _select_batch(self) -> List[DiskRequest]:
         raise NotImplementedError
@@ -367,32 +379,35 @@ class ParallelAccessDisk(Disk):
 
     parallel_access = True
 
+    def _admit(self, req: DiskRequest) -> None:
+        """Resolve the request's single cylinder, once, at entry."""
+        cylinder = req.addresses[0].cylinder
+        for addr in req.addresses:
+            if addr.cylinder != cylinder:
+                cylinders = sorted({a.cylinder for a in req.addresses})
+                raise SimulationError(
+                    f"parallel-access request spans cylinders {cylinders}; "
+                    "split requests with split_by_cylinder()"
+                )
+        req.cylinder = cylinder
+
     def _select_batch(self) -> List[DiskRequest]:
         first = self._queue.popleft()
-        cylinder = self._request_cylinder(first)
+        kind = first.kind
+        cylinder = first.cylinder
         batch = [first]
         survivors: Deque[DiskRequest] = deque()
-        while self._queue:
-            req = self._queue.popleft()
-            if req.kind == first.kind and self._request_cylinder(req) == cylinder:
+        for req in self._queue:
+            if req.kind == kind and req.cylinder == cylinder:
                 batch.append(req)
             else:
                 survivors.append(req)
         self._queue = survivors
         return batch
 
-    def _request_cylinder(self, req: DiskRequest) -> int:
-        cylinders = {addr.cylinder for addr in req.addresses}
-        if len(cylinders) != 1:
-            raise SimulationError(
-                f"parallel-access request spans cylinders {sorted(cylinders)}; "
-                "split requests with split_by_cylinder()"
-            )
-        return next(iter(cylinders))
-
     def _service_time(self, batch: List[DiskRequest]) -> float:
         params = self.params
-        cylinder = self._request_cylinder(batch[0])
+        cylinder = batch[0].cylinder
         sectors = {addr.sector for req in batch for addr in req.addresses}
         cost = 0.0
         if cylinder != self._head_cylinder:

@@ -64,8 +64,8 @@ class DiskCache:
         self.free_frames.update(self.env.now, self.free)
 
     def release(self, n: int = 1) -> None:
-        """Return ``n`` frames to the pool."""
-        self._frames.put(n)
+        """Return ``n`` frames to the pool (eventless: a return never blocks)."""
+        self._frames.release(n)
         self.free_frames.update(self.env.now, self.free)
 
     # -- blocked-page accounting ------------------------------------------------

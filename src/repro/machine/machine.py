@@ -464,7 +464,7 @@ class DatabaseMachine:
         for item in self.arch.read_sequence(txn):
             yield window.get(1)
             if runtime.aborted:
-                window.put(1)
+                window.release(1)
                 break
             pipelines.append(
                 env.process(
@@ -521,7 +521,7 @@ class DatabaseMachine:
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown work item {item!r}")
         finally:
-            window.put(1)
+            window.release(1)
 
     def _data_page_pipeline(self, txn, runtime, page: int, tspan=None):
         env = self.env

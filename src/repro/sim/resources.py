@@ -7,7 +7,10 @@
 * :class:`Store` — a FIFO buffer of Python objects with blocking get/put
   (used e.g. for message queues between processors).
 * :class:`Container` — a level of continuous/discrete "stuff" with blocking
-  get/put (used e.g. for free cache-frame accounting).
+  get/put (used e.g. for free cache-frame accounting), plus an eventless
+  :meth:`Container.release` for returns that can never block: it grants
+  waiting getters exactly as ``put`` would but puts no event on the
+  calendar, since nobody ever waits on such a return.
 
 Requests are usable as context managers inside processes::
 
@@ -314,6 +317,31 @@ class Container:
         self._putters.append(evt)
         self._dispatch()
         return evt
+
+    def release(self, amount: float) -> None:
+        """Return ``amount`` at once: a :meth:`put` that cannot block.
+
+        The level rises and waiting getters are granted in the same order,
+        at the same point, as ``put`` followed by its dispatch would grant
+        them; only the put's own event, which nothing waits on, is never
+        scheduled.  An amount that would overflow the capacity, or jump
+        ahead of putters already queued, is refused: that return would
+        have had to block.
+        """
+        if amount <= 0:
+            raise SimulationError("release amount must be positive")
+        if self._putters:
+            raise SimulationError(
+                f"release({amount}) would jump ahead of "
+                f"{len(self._putters)} queued putter(s)"
+            )
+        if self._level + amount > self.capacity:
+            raise SimulationError(
+                f"release({amount}) overflows capacity {self.capacity} "
+                f"at level {self._level}"
+            )
+        self._level += amount
+        self._dispatch()
 
     def get(self, amount: float) -> ContainerGet:
         if amount <= 0:

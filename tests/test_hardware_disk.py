@@ -155,9 +155,26 @@ class TestParallelAccessDisk:
     def test_rejects_multi_cylinder_request(self):
         env = Environment()
         disk = ParallelAccessDisk(env, IBM_3350, rng=fixed_latency_rng(0.0))
-        disk.submit("read", [DiskAddress(0, 0, 0), DiskAddress(1, 0, 0)])
+        # The submitter hears about it, not some unrelated later event.
+        with pytest.raises(SimulationError, match=r"spans cylinders \[0, 1\]"):
+            disk.submit("read", [DiskAddress(0, 0, 0), DiskAddress(1, 0, 0)])
+        assert disk.pending == 0
+        env.run()  # nothing queued, nothing raised
+
+    def test_server_survives_a_rejected_request(self):
+        env = Environment()
+        disk = ParallelAccessDisk(env, IBM_3350, rng=fixed_latency_rng(8.0))
         with pytest.raises(SimulationError):
-            env.run()
+            disk.read([DiskAddress(1, 0, 0), DiskAddress(5, 0, 0)])
+        env.run()
+        request = disk.read([DiskAddress(5, 0, 0)])
+        env.run(until=request.done)
+        assert request.ok
+        assert request.cylinder == 5
+        assert disk.accesses.count == 1
+        assert env.now == pytest.approx(
+            IBM_3350.seek_ms(5) + 8.0 + IBM_3350.transfer_ms
+        )
 
     def test_coalesces_same_cylinder_same_kind(self):
         env = Environment()

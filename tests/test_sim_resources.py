@@ -269,3 +269,103 @@ class TestContainer:
             box.get(0)
         with pytest.raises(SimulationError):
             box.put(-1)
+
+
+class _CountingEnv(Environment):
+    """An environment that counts the calendar events it processes."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+        super().step()
+
+
+def _returns_scenario(give_back):
+    """Four getters queue on an empty box; two returns arrive at t=1, t=2.
+
+    ``give_back(box, amount)`` is the return under test.  Marker events
+    succeeded just before and just after each return pin down *where* in
+    the same-instant calendar the grants land.
+    """
+    env = _CountingEnv()
+    box = Container(env, capacity=10, init=0)
+    order = []
+
+    def getter(name, amount):
+        yield box.get(amount)
+        order.append((name, env.now))
+
+    def marker(label):
+        evt = env.event()
+        evt.callbacks.append(lambda _evt: order.append((label, env.now)))
+        evt.succeed()
+
+    def returner():
+        for amount in (3, 5):
+            yield env.timeout(1)
+            marker("before")
+            give_back(box, amount)
+            marker("after")
+
+    for name, amount in (("a", 1), ("b", 2), ("c", 1), ("d", 4)):
+        env.process(getter(name, amount))
+    env.process(returner())
+    env.run()
+    return order, env.steps, box.level
+
+
+class TestContainerRelease:
+    def test_refuses_overflow(self):
+        box = Container(Environment(), capacity=5, init=4)
+        with pytest.raises(SimulationError, match="overflows capacity"):
+            box.release(2)
+        assert box.level == 4
+        box.release(1)
+        assert box.level == 5
+
+    def test_refuses_nonpositive_amount(self):
+        box = Container(Environment(), capacity=5, init=1)
+        with pytest.raises(SimulationError):
+            box.release(0)
+
+    def test_refuses_to_jump_queued_putters(self):
+        box = Container(Environment(), capacity=5, init=2)
+        blocked = box.put(4)  # 2 + 4 > 5: queued
+        assert not blocked.triggered
+        # 2 + 1 fits, but the queued putter came first.
+        with pytest.raises(SimulationError, match="queued putter"):
+            box.release(1)
+        assert box.level == 2
+
+    def test_grants_getters_fifo_in_put_order(self):
+        released = _returns_scenario(lambda box, n: box.release(n))
+        put = _returns_scenario(lambda box, n: box.put(n))
+        expected = [
+            ("before", 1), ("a", 1), ("b", 1), ("after", 1),
+            ("before", 2), ("c", 2), ("d", 2), ("after", 2),
+        ]
+        assert released[0] == put[0] == expected
+        assert released[2] == put[2] == 0
+        # Same order, minus exactly the two never-awaited put events.
+        assert put[1] - released[1] == 2
+
+    def test_schedules_no_calendar_event(self):
+        env = _CountingEnv()
+        box = Container(env, capacity=3, init=1)
+        box.release(2)
+        assert box.level == 3
+        assert env.peek() == float("inf")
+        env.run()
+        assert env.steps == 0
+
+    def test_waiting_getter_costs_its_own_event_only(self):
+        env = _CountingEnv()
+        box = Container(env, capacity=3, init=0)
+        get = box.get(2)
+        box.release(2)
+        env.run()
+        assert get.processed and box.level == 0
+        assert env.steps == 1

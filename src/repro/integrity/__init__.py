@@ -34,8 +34,9 @@ storage managers and the hardware models can import it.
 
 from __future__ import annotations
 
+import math
 import zlib
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "IntegrityError",
@@ -85,27 +86,83 @@ def canonical_bytes(value: Any) -> bytes:
     Records are plain Python values (tuples of scalars, possibly nested;
     NamedTuple instances; ``(name, [records])`` archive pairs).  The
     encoding is type-tagged so values that compare equal across types
-    (``1``/``1.0``/``True``) still sum differently.
+    (``1``/``1.0``/``True``) still sum differently:
+
+    ========================  ==========================================
+    ``None``                  ``N``
+    ``True`` / ``False``      ``T`` / ``F``
+    ``int``                   ``I<str(value)>;``
+    ``float``                 ``D<repr(value)>;``
+    ``str``                   ``S<len(utf-8)>:<utf-8 bytes>``
+    ``bytes``                 ``B<len>:<bytes>``
+    ``tuple`` / ``list``      ``(<each item>)``
+    ========================  ==========================================
+
+    The encoder makes one pass: every piece is appended to one list that
+    is joined once, and nested sequences are the only recursion.  Values
+    of exactly ``int``, ``bytes``, ``str``, ``tuple`` or ``list`` take
+    fast paths (a top-level ``int`` or ``bytes`` is encoded without the
+    list); ``None``, ``bool``, ``float`` and subclasses (NamedTuple
+    records, ``IntEnum``) go through the ``isinstance`` chain.  Both
+    paths give the same bytes for the same value.  Anything else raises
+    :class:`TypeError`.
     """
-    if value is None:
-        return b"N"
-    if isinstance(value, bool):
-        return b"T" if value else b"F"
-    if isinstance(value, int):
-        return b"I" + str(value).encode("ascii") + b";"
-    if isinstance(value, float):
-        return b"D" + repr(value).encode("ascii") + b";"
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return b"S" + str(len(raw)).encode("ascii") + b":" + raw
-    if isinstance(value, bytes):
-        return b"B" + str(len(value)).encode("ascii") + b":" + value
-    if isinstance(value, (tuple, list)):
-        inner = b"".join(canonical_bytes(item) for item in value)
-        return b"(" + inner + b")"
-    raise TypeError(
-        f"cannot canonicalize {type(value).__name__!r} for checksumming"
-    )
+    kind = type(value)
+    if kind is int:
+        return b"I%d;" % value
+    if kind is bytes:
+        return b"B%d:" % len(value) + value
+    if kind is tuple or kind is list:
+        out = [b"("]
+        _encode_items(value, out.append)
+        out.append(b")")
+    else:
+        out = []
+        _encode_items((value,), out.append)
+    return b"".join(out)
+
+
+def _encode_items(items: Iterable[Any], append: Callable[[bytes], Any]) -> None:
+    """Append the canonical pieces of each of ``items`` (see
+    :func:`canonical_bytes`)."""
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            append(b"I%d;" % item)
+        elif kind is str:
+            raw = item.encode("utf-8")
+            append(b"S%d:" % len(raw))
+            append(raw)
+        elif kind is tuple or kind is list:
+            append(b"(")
+            _encode_items(item, append)
+            append(b")")
+        elif kind is bytes:
+            append(b"B%d:" % len(item))
+            append(item)
+        elif item is None:
+            append(b"N")
+        elif isinstance(item, bool):
+            append(b"T" if item else b"F")
+        elif isinstance(item, int):
+            append(b"I" + str(item).encode("ascii") + b";")
+        elif isinstance(item, float):
+            append(b"D" + repr(item).encode("ascii") + b";")
+        elif isinstance(item, str):
+            raw = item.encode("utf-8")
+            append(b"S%d:" % len(raw))
+            append(raw)
+        elif isinstance(item, bytes):
+            append(b"B%d:" % len(item))
+            append(item)
+        elif isinstance(item, (tuple, list)):
+            append(b"(")
+            _encode_items(item, append)
+            append(b")")
+        else:
+            raise TypeError(
+                f"cannot canonicalize {type(item).__name__!r} for checksumming"
+            )
 
 
 def record_checksum(record: Any) -> int:
@@ -173,9 +230,19 @@ def tamper_record(record: Any) -> Any:
     if isinstance(record, int):
         return record ^ 0x2A
     if isinstance(record, float):
-        return record + 1.0 if record == record else 0.0
+        if record != record:
+            return 0.0
+        bumped = record + 1.0
+        # Adding one is absorbed at large magnitudes and at +-inf: step to
+        # the next float toward zero instead, so the tamper always shows.
+        return bumped if bumped != record else math.nextafter(record, 0.0)
     if isinstance(record, str):
-        return ("\x00" + record[1:]) if record else "\x00"
+        if not record:
+            return "\x00"
+        # A second marker for a string the first one already leads, so
+        # re-tampering a tampered record still changes it.
+        marker = "\x01" if record[0] == "\x00" else "\x00"
+        return marker + record[1:]
     if isinstance(record, bytes):
         return tamper_bytes(record)
     if record is None:

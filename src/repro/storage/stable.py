@@ -105,9 +105,7 @@ class StableStorage:
     def extend(self, file: str, records) -> None:
         records = list(records)
         self._files.setdefault(file, []).extend(records)
-        self._file_sums.setdefault(file, []).extend(
-            record_checksum(record) for record in records
-        )
+        self._file_sums.setdefault(file, []).extend(map(record_checksum, records))
         self.records_appended += len(records)
 
     def read_file(self, file: str) -> List[Any]:
@@ -119,12 +117,11 @@ class StableStorage:
         torn-tail excuse, unlike logs (:meth:`read_log`).
         """
         records = list(self._files.get(file, ()))
-        sums = self._file_sums.get(file, ())
         self.records_read += len(records)
-        for index, record in enumerate(records):
-            if record_checksum(record) != sums[index]:
-                self.checksum_failures += 1
-                raise RecordIntegrityError(file, index)
+        bad = self._mismatches(file, records)
+        if bad:
+            self.checksum_failures += 1
+            raise RecordIntegrityError(file, bad[0])
         return records
 
     def read_log(self, file: str) -> List[Any]:
@@ -139,12 +136,12 @@ class StableStorage:
         recovery instead of replaying poisoned state.
         """
         records = list(self._files.get(file, ()))
-        sums = self._file_sums.get(file, ())
-        ok = [
-            record_checksum(record) == sums[index]
-            for index, record in enumerate(records)
-        ]
-        keep, interior = split_torn_tail(ok)
+        keep, interior = len(records), None
+        bad = set(self._mismatches(file, records))
+        if bad:
+            keep, interior = split_torn_tail(
+                [index not in bad for index in range(len(records))]
+            )
         if interior is not None:
             self.records_read += interior
             self.checksum_failures += 1
@@ -158,7 +155,7 @@ class StableStorage:
         """Replace a file's contents with ``keep`` (default: empty)."""
         kept = list(keep or ())
         self._files[file] = kept
-        self._file_sums[file] = [record_checksum(record) for record in kept]
+        self._file_sums[file] = list(map(record_checksum, kept))
 
     def file_length(self, file: str) -> int:
         return len(self._files.get(file, ()))
@@ -176,12 +173,20 @@ class StableStorage:
 
     def verify_file(self, file: str) -> List[int]:
         """Non-raising scrub probe: indexes of corrupt records in ``file``."""
-        sums = self._file_sums.get(file, ())
-        return [
-            index
-            for index, record in enumerate(self._files.get(file, ()))
-            if record_checksum(record) != sums[index]
-        ]
+        return self._mismatches(file, self._files.get(file, ()))
+
+    def _mismatches(self, file: str, records: List[Any]) -> List[int]:
+        """Indexes of ``records`` (``file``'s contents) whose recomputed
+        envelope differs from the stored one.
+
+        Every record's envelope is recomputed, once, on every call; the
+        per-record search runs only when the whole-file comparison fails.
+        """
+        sums = self._file_sums.get(file, [])
+        got = list(map(record_checksum, records))
+        if got == sums:
+            return []
+        return [index for index, (a, b) in enumerate(zip(got, sums)) if a != b]
 
     def scrub(self) -> Dict[str, Any]:
         """One full integrity scan: every page, every file, no raises.

@@ -9,6 +9,7 @@ reads apply the torn-tail stop rule, and the ``restore_page`` /
 import pytest
 
 from repro.integrity import PageIntegrityError, RecordIntegrityError
+import repro.storage.stable as stable_module
 from repro.storage.stable import StableStorage
 
 
@@ -159,3 +160,73 @@ class TestCorruptionInjection:
         stable.truncate("log", [(2, "fresh")])
         assert stable.read_file("log") == [(2, "fresh")]
         assert stable.scrub() == {"pages": [], "files": {}}
+
+
+def store_of(n):
+    stable = StableStorage()
+    stable.extend("f", [(index, "rec") for index in range(n)])
+    return stable
+
+
+class TestVerificationWork:
+    """Which index a verified read reports, what it counts, and that it
+    recomputes every record's envelope exactly once."""
+
+    def test_read_file_raises_at_the_first_of_several_bad_records(self):
+        stable = store_of(6)
+        for index in (4, 1, 5):
+            stable.corrupt_record("f", index)
+        with pytest.raises(RecordIntegrityError) as excinfo:
+            stable.read_file("f")
+        assert excinfo.value.index == 1
+        assert stable.checksum_failures == 1
+        assert stable.records_read == 6
+
+    def test_read_log_interior_rot_wins_over_a_torn_tail(self):
+        stable = store_of(6)
+        for index in (2, 4, 5):
+            stable.corrupt_record("f", index)
+        with pytest.raises(RecordIntegrityError) as excinfo:
+            stable.read_log("f")
+        assert excinfo.value.index == 2
+        assert stable.records_read == 2
+        assert stable.checksum_failures == 1
+        assert stable.torn_tail_drops == 0
+
+    def test_read_log_drops_only_the_torn_tail(self):
+        stable = store_of(6)
+        for index in (4, 5):
+            stable.corrupt_record("f", index)
+        assert stable.read_log("f") == [(index, "rec") for index in range(4)]
+        assert stable.records_read == 4
+        assert stable.torn_tail_drops == 2
+        assert stable.checksum_failures == 0
+
+    def test_verify_file_lists_every_bad_index(self):
+        stable = store_of(6)
+        for index in (5, 0, 3):
+            stable.corrupt_record("f", index)
+        assert stable.verify_file("f") == [0, 3, 5]
+        assert stable.verify_file("absent") == []
+        assert stable.checksum_failures == 0
+
+    @pytest.mark.parametrize("corrupt", [(), (1,), (1, 3), (4,)])
+    @pytest.mark.parametrize("read", ["read_file", "read_log", "verify_file"])
+    def test_each_read_checksums_each_record_once(self, monkeypatch, read, corrupt):
+        stable = store_of(5)
+        for index in corrupt:
+            stable.corrupt_record("f", index)
+        calls = []
+        original = stable_module.record_checksum
+
+        def counting(record):
+            calls.append(record)
+            return original(record)
+
+        monkeypatch.setattr(stable_module, "record_checksum", counting)
+        for _ in range(3):
+            try:
+                getattr(stable, read)("f")
+            except RecordIntegrityError:
+                pass
+        assert len(calls) == 3 * 5

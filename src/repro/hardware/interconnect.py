@@ -74,7 +74,7 @@ class Interconnect:
             yield req
             # Duck-typed tracer (repro.trace attaches itself via env.tracer;
             # the literal name is registered in the span catalogue).
-            tracer = getattr(self.env, "tracer", None)
+            tracer = self.env.tracer
             span = None
             if tracer is not None:
                 span = tracer.begin("link.transfer", track=self.name, n_bytes=n_bytes)

@@ -189,7 +189,7 @@ class MirroredDisk:
         """
         env = self.env
         params = self.params
-        tracer = getattr(env, "tracer", None)
+        tracer = env.tracer
         span = None
         if tracer is not None:
             span = tracer.begin(

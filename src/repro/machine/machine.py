@@ -77,9 +77,10 @@ class DatabaseMachine:
         tracer=None,
     ):
         self.config = config
-        #: Optional :class:`repro.trace.Tracer` (duck-typed; the machine
-        #: only calls ``begin``/``end``/``instant`` through the ``_tspan``
-        #: guard helpers, which are no-ops when no tracer is attached).
+        #: Optional :class:`repro.trace.Tracer` (duck-typed).  The machine
+        #: records through ``_tspan``/``_tend``/``_tinstant``: with a tracer
+        #: attached they are its own bound ``begin``/``end``/``instant``,
+        #: without one the class-level no-ops.
         self.tracer = tracer
         #: Optional runtime WAL checker; architectures that gate write-backs
         #: on recovery data report to it (see sim.monitor.WALInvariantMonitor).
@@ -97,6 +98,9 @@ class DatabaseMachine:
         # pick it up from the environment.
         if tracer is not None:
             tracer.env = self.env
+            self._tspan = tracer.begin
+            self._tend = tracer.end
+            self._tinstant = tracer.instant
         self.env.tracer = tracer
         self.streams = RandomStreams(config.seed)
         self.placement = placement or ClusteredPlacement(
@@ -166,25 +170,23 @@ class DatabaseMachine:
         self.arch.attach(self)
 
     # ------------------------------------------------------------------ tracing
-    def _tspan(self, name: str, parent=None, tid: Optional[int] = None, **args):
-        """Open a trace span, or return None when tracing is disabled.
+    # The untraced guards.  ``__init__`` shadows all three with the
+    # tracer's bound methods when one is attached, so a traced record
+    # costs a single call.  Recording is a synchronous append — no
+    # simulation events, no RNG draws — so a traced run's event calendar
+    # is identical to an untraced one (the zero-perturbation criterion).
+    @staticmethod
+    def _tspan(name: str, parent=None, tid: Optional[int] = None, **args):
+        """Open a trace span; untraced, record nothing and return None."""
+        return None
 
-        Recording is a synchronous append — no simulation events, no RNG
-        draws — so a traced run's event calendar is identical to an
-        untraced one (the zero-perturbation acceptance criterion).
-        """
-        if self.tracer is None:
-            return None
-        # The forwarding site itself; callers pass catalogue literals.
-        return self.tracer.begin(name, parent=parent, tid=tid, **args)  # reprolint: disable-line=TRACE01
+    @staticmethod
+    def _tend(span, **args) -> None:
+        return None
 
-    def _tend(self, span, **args) -> None:
-        if span is not None:
-            self.tracer.end(span, **args)
-
-    def _tinstant(self, name: str, tid: Optional[int] = None, **args) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(name, tid=tid, **args)  # reprolint: disable-line=TRACE01
+    @staticmethod
+    def _tinstant(name: str, tid: Optional[int] = None, **args) -> None:
+        return None
 
     # ------------------------------------------------------------------ helpers
     def locate(self, page: int) -> Tuple[int, DiskAddress]:

@@ -77,7 +77,7 @@ class Scrubber:
         params = getattr(disk, "params", None)
         if params is None:  # pragma: no cover - every modeled disk has params
             return
-        tracer = getattr(env, "tracer", None)
+        tracer = env.tracer
         span = None
         if tracer is not None:
             span = tracer.begin(

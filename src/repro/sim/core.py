@@ -363,9 +363,9 @@ class Environment:
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: Optional deterministic span recorder (see ``repro.trace``).
-        #: Components that model time (disks, interconnects) duck-type it
-        #: via ``getattr(env, "tracer", None)``; ``None`` disables tracing
-        #: at zero cost.  Attached by whoever builds the model.
+        #: Components that model time (disks, interconnects) read
+        #: ``env.tracer`` directly; ``None`` disables tracing at the cost
+        #: of one attribute read.  Attached by whoever builds the model.
         self.tracer: Optional[Any] = None
 
     @property

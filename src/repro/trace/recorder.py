@@ -17,11 +17,19 @@ rule DET01 polices wall-clock use; the determinism test in
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Any, Dict, List, Optional
 
 from repro.trace.names import CATALOGUE
 
 __all__ = ["Span", "Tracer"]
+
+
+def _unregistered(name: str) -> ValueError:
+    return ValueError(
+        f"span name {name!r} is not in the registered catalogue "
+        "(repro.trace.names.CATALOGUE); register it there first"
+    )
 
 
 class Span:
@@ -54,7 +62,7 @@ class Span:
         self.end: Optional[float] = None
         self.tid = tid
         self.track = track
-        self.args: Dict[str, Any] = args or {}
+        self.args: Dict[str, Any] = {} if args is None else args
 
     @property
     def duration(self) -> float:
@@ -85,20 +93,11 @@ class Tracer:
         self.env = env
         self.spans: List[Span] = []
         self.instants: List[Span] = []
-        self._seq = 0
+        self._seq = count(1)
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    @staticmethod
-    def _check_name(name: str) -> None:
-        if name not in CATALOGUE:
-            raise ValueError(
-                f"span name {name!r} is not in the registered catalogue "
-                "(repro.trace.names.CATALOGUE); register it there first"
-            )
-
+    # One call per record: the machine binds these methods directly, so
+    # each checks its name inline and builds its Span positionally.  The
+    # ``**args`` dict is fresh per call and is stored as it arrives.
     def begin(
         self,
         name: str,
@@ -108,18 +107,19 @@ class Tracer:
         **args,
     ) -> Span:
         """Open a span at the current simulation time."""
-        self._check_name(name)
+        if name not in CATALOGUE:
+            raise _unregistered(name)
+        spans = self.spans
+        if parent is None:
+            parent_sid = None
+        else:
+            parent_sid = parent.sid
+            if tid is None:
+                tid = parent.tid
         span = Span(
-            sid=len(self.spans),
-            name=name,
-            start=self.env.now,
-            seq=self._next_seq(),
-            parent_sid=parent.sid if parent is not None else None,
-            tid=tid if tid is not None else (parent.tid if parent is not None else None),
-            track=track,
-            args=args or None,
+            len(spans), name, self.env.now, next(self._seq), parent_sid, tid, track, args
         )
-        self.spans.append(span)
+        spans.append(span)
         return span
 
     def end(self, span: Span, **args) -> Span:
@@ -139,18 +139,13 @@ class Tracer:
         **args,
     ) -> Span:
         """Record a zero-duration marker at the current simulation time."""
-        self._check_name(name)
-        mark = Span(
-            sid=len(self.instants),
-            name=name,
-            start=self.env.now,
-            seq=self._next_seq(),
-            tid=tid,
-            track=track,
-            args=args or None,
-        )
-        mark.end = mark.start
-        self.instants.append(mark)
+        if name not in CATALOGUE:
+            raise _unregistered(name)
+        instants = self.instants
+        now = self.env.now
+        mark = Span(len(instants), name, now, next(self._seq), None, tid, track, args)
+        mark.end = now
+        instants.append(mark)
         return mark
 
     # -- queries ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import DatabaseMachine, MachineConfig
 from repro.trace import CATALOGUE, PHASE_CHARS, PRIORITY, Span, Tracer
 from repro.trace.names import OTHER_PHASE
 
@@ -45,17 +46,33 @@ class TestTracer:
 
     def test_unregistered_name_rejected(self):
         tracer, _ = make_tracer()
-        with pytest.raises(ValueError):
+        message = (
+            r"span name 'made\.up\.name' is not in the registered catalogue "
+            r"\(repro\.trace\.names\.CATALOGUE\); register it there first"
+        )
+        with pytest.raises(ValueError, match=message):
             tracer.begin("made.up.name")  # reprolint: disable-line=TRACE01
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             tracer.instant("made.up.name")  # reprolint: disable-line=TRACE01
+        assert len(tracer) == 0
 
     def test_double_end_rejected(self):
         tracer, _ = make_tracer()
         span = tracer.begin("commit")
         tracer.end(span)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"span 0 \(commit\) already ended"):
             tracer.end(span)
+
+    def test_argless_records_own_their_args(self):
+        tracer, _ = make_tracer()
+        first = tracer.begin("commit")
+        second = tracer.begin("commit")
+        mark = tracer.instant("fault.point")
+        tracer.end(first, status="committed")
+        assert first.args == {"status": "committed"}
+        assert second.args == {} and mark.args == {}
+        records = tracer.spans + tracer.instants
+        assert len({id(record.args) for record in records}) == len(records)
 
     def test_tid_inherited_from_parent(self):
         tracer, _ = make_tracer()
@@ -98,6 +115,23 @@ class TestTracer:
         clock.now = 10.0
         assert not span.closed
         assert span.duration == 0.0
+
+
+class TestMachineBinding:
+    def test_traced_machine_records_through_the_tracer_itself(self):
+        tracer = Tracer()
+        machine = DatabaseMachine(MachineConfig(), tracer=tracer)
+        assert machine._tspan == tracer.begin
+        assert machine._tend == tracer.end
+        assert machine._tinstant == tracer.instant
+
+    def test_untraced_machine_records_nothing(self):
+        machine = DatabaseMachine(MachineConfig())
+        span = machine._tspan("txn", tid=1, attempt=1)
+        assert span is None
+        assert machine._tend(span, status="committed") is None
+        assert machine._tinstant("machine.crash", reason="test") is None
+        assert machine.tracer is None and machine.env.tracer is None
 
 
 class TestQueries:

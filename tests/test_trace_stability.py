@@ -23,6 +23,9 @@ from repro import (
     WorkloadConfig,
     generate_transactions,
 )
+from repro.loadgen import ArrivalConfig, generate_arrivals
+from repro.loadgen.arrivals import Spike
+from repro.loadgen.runner import sim_architecture
 from repro.registry import REGISTRY, machine_overrides
 from repro.sim import RandomStreams
 from repro.trace import Tracer, to_chrome_trace
@@ -60,3 +63,68 @@ def test_registry_covered():
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_fault_free_trace_unchanged(name):
     assert _trace_hash(name) == EXPECTED[name]
+
+
+#: md5 of the sorted chrome-trace JSON of one overloaded open-system run,
+#: captured before the recorder was cut to one call per record.
+OPEN_EXPECTED = "e66bd7ff934b98caa7f20ba39d57780c"
+#: Closed-batch capacity of ``wal`` on the loadgen workload (tps).
+WAL_CAPACITY_TPS = 1.702
+
+
+def _open_run(tracer):
+    """``wal`` under bursty arrivals at 2x capacity with a scripted spike.
+
+    Tight admission knobs make this one run exercise every admission
+    outcome: enqueue, reject (backpressure turns retries away fast),
+    shed (queue-full waits outlast the deadline), backpressure on/off
+    and the spike marker.
+    """
+    schedule = generate_arrivals(
+        ArrivalConfig(
+            process="bursty",
+            rate_tps=2.0 * WAL_CAPACITY_TPS,
+            n_arrivals=60,
+            spikes=(Spike(start_ms=2_000.0, duration_ms=1_000.0, multiplier=3.0),),
+        ),
+        RandomStreams(1985).fork("arrivals"),
+    )
+    config = MachineConfig(
+        seed=1985,
+        admission_policy="block",
+        admission_block_timeout_ms=100.0,
+        admission_queue_limit=4,
+        admission_deadline_ms=300.0,
+        backpressure_cache_high=0.5,
+        backpressure_cache_low=0.25,
+        **machine_overrides("wal"),
+    )
+    transactions = generate_transactions(
+        WorkloadConfig(n_transactions=schedule.offered, max_pages=30),
+        config.db_pages,
+        RandomStreams(7).stream("workload"),
+    )
+    machine = DatabaseMachine(config, sim_architecture("wal"), tracer=tracer)
+    return machine.run_open(
+        transactions, schedule.times_ms, spike_times_ms=schedule.spike_starts_ms
+    )
+
+
+def test_open_load_trace_unchanged():
+    tracer = Tracer()
+    _open_run(tracer)
+    names = {mark.name for mark in tracer.instants}
+    assert {
+        "admission.enqueue",
+        "admission.reject",
+        "admission.shed",
+        "backpressure.on",
+        "backpressure.off",
+        "arrival.spike",
+    } <= names
+    blob = json.dumps(to_chrome_trace(tracer), sort_keys=True).encode()
+    assert hashlib.md5(blob).hexdigest() == OPEN_EXPECTED
+
+
+def test_open_load_tracing_does_not_perturb():
+    assert _open_run(Tracer()) == _open_run(None)

@@ -68,7 +68,11 @@ class DiskAddress(NamedTuple):
             )
         cylinder, rest = divmod(index, params.pages_per_cylinder)
         track, sector = divmod(rest, params.pages_per_track)
-        return DiskAddress(cylinder, track, sector)
+        # Built directly, skipping the namedtuple's generated __new__ frame.
+        return _new_address(DiskAddress, (cylinder, track, sector))
+
+
+_new_address = tuple.__new__
 
 
 class DiskRequest:
@@ -102,7 +106,7 @@ class DiskRequest:
         #: The one cylinder a parallel-access request touches, resolved
         #: when the request enters its disk; ``None`` on conventional disks.
         self.cylinder: Optional[int] = None
-        self.done: Event = env.event()
+        self.done: Event = Event(env)
         self.tag = tag
         self.submitted_at = env.now
         #: set when the request failed (disk death) instead of completing.
@@ -175,17 +179,20 @@ class Disk:
         A request the drive cannot serve in one access raises
         :class:`SimulationError` here, to the submitter.
         """
-        req = DiskRequest(self.env, kind, addresses, tag)
+        env = self.env
+        req = DiskRequest(env, kind, addresses, tag)
         self._admit(req)
         if self.failed:
             req.error = "disk-failed"
             self.failed_requests.increment()
-            req.done.succeed(self.env.now)
+            req.done.succeed(env.now)
             return req
-        self._queue.append(req)
-        self.queue_length.update(self.env.now, len(self._queue))
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        queue = self._queue
+        queue.append(req)
+        self.queue_length.update(env.now, len(queue))
+        wakeup = self._wakeup
+        if wakeup is not None and not wakeup.triggered:
+            wakeup.succeed()
         return req
 
     def fail(self) -> None:
@@ -245,7 +252,8 @@ class Disk:
                 )
             self.busy.start(env.now)
             yield env.timeout(service)
-            self.busy.stop(env.now)
+            now = env.now
+            self.busy.stop(now)
             if tracer is not None:
                 tracer.end(span)
             self.accesses.increment()
@@ -262,8 +270,8 @@ class Disk:
                     req.corrupt = True
                     self.corrupt_reads.increment()
                 counter = self.pages_read if req.kind == "read" else self.pages_written
-                counter.increment(req.n_pages)
-                req.done.succeed(env.now)
+                counter.increment(len(req.addresses))
+                req.done.succeed(now)
 
     def _admit(self, req: DiskRequest) -> None:
         """Validate a request as it enters; the default accepts any."""
@@ -393,6 +401,8 @@ class ParallelAccessDisk(Disk):
 
     def _select_batch(self) -> List[DiskRequest]:
         first = self._queue.popleft()
+        if not self._queue:
+            return [first]
         kind = first.kind
         cylinder = first.cylinder
         batch = [first]

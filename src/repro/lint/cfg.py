@@ -23,8 +23,14 @@ Design:
   a caught-or-uncaught exception, ``return``/``break``/``continue``
   unwinding) flows through the one compiled copy, and the finalizer's
   exit fans out to each registered continuation.  This merges routes a
-  duplicating compiler would keep apart — a deliberate, conservative
-  imprecision that keeps the statement-to-block mapping a partition.
+  duplicating compiler would keep apart, which keeps the
+  statement-to-block mapping a partition.  A *simple* finalizer — no
+  nested ``try`` and no ``return``/``raise``/``break``/``continue`` — is
+  entered only at its top and left only at its end, so its edges carry
+  continuation labels (:attr:`CFG.continuations`): each in-edge names the
+  continuation it parks, each out-edge the one it resumes, and the
+  dataflow solver sends every state out along the continuation it came
+  in for.  Any other finalizer keeps the conservative fan-out.
 * Exceptions are modeled at the points that matter for the rules:
   explicit ``raise`` statements always unwind; additionally, every block
   inside a ``try`` body gets a may-raise edge to the handlers (any call
@@ -45,11 +51,20 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 __all__ = [
     "BasicBlock",
     "CFG",
+    "NORMAL",
+    "PLAIN",
     "build_cfg",
     "dominators",
     "reachable_blocks",
     "statements_of",
 ]
+
+
+#: The continuation of a finalizer entered by normal completion; the
+#: others are ``(kind, loop-depth)`` tokens: ``("return", None)`` ...
+NORMAL = ("normal", None)
+#: The label of an edge that parks and resumes nothing.
+PLAIN: Tuple[Optional[tuple], Optional[tuple]] = (None, None)
 
 
 class BasicBlock:
@@ -79,17 +94,35 @@ class CFG:
         self.entry = self._new_block()
         self.exit = self._new_block(kind="exit")
         self.raise_exit = self._new_block(kind="raise")
+        #: (src bid, dst bid) -> the ``(resumes, parks)`` labels of the
+        #: edges between them, for edges into or out of a simple finalizer.
+        #: ``parks`` is the continuation a state entering the finalizer
+        #: waits to resume; ``resumes`` is the one an exit edge serves.
+        #: A pair absent here is a single plain edge.
+        self.continuations: Dict[Tuple[int, int], Set[Tuple[Optional[tuple], Optional[tuple]]]] = {}
 
     def _new_block(self, kind: str = "code") -> BasicBlock:
         block = BasicBlock(len(self.blocks), kind)
         self.blocks.append(block)
         return block
 
-    @staticmethod
-    def add_edge(src: BasicBlock, dst: BasicBlock) -> None:
+    def add_edge(
+        self,
+        src: BasicBlock,
+        dst: BasicBlock,
+        label: Tuple[Optional[tuple], Optional[tuple]] = PLAIN,
+    ) -> None:
+        key = (src.bid, dst.bid)
         if dst not in src.succs:
             src.succs.append(dst)
             dst.preds.append(src)
+            if label != PLAIN:
+                self.continuations[key] = {label}
+        elif key in self.continuations:
+            self.continuations[key].add(label)
+        elif label != PLAIN:
+            # A labelled edge alongside an existing plain one.
+            self.continuations[key] = {PLAIN, label}
 
     def reachable(self) -> List[BasicBlock]:
         """Blocks reachable from the entry, in a stable (bid) order."""
@@ -121,6 +154,7 @@ class _Frame:
         "finally_exits",
         "pending",
         "catches",
+        "labelled",
     )
 
     def __init__(self, kind: str):
@@ -140,6 +174,9 @@ class _Frame:
         #: Whether the handlers are still armed (they are not while the
         #: handler bodies themselves compile).
         self.catches = False
+        #: Whether the finalizer is simple, so its edges carry
+        #: continuation labels.
+        self.labelled = False
 
 
 class _Builder:
@@ -165,11 +202,13 @@ class _Builder:
     def _goto(self, target: Optional[BasicBlock]) -> None:
         """End the current block, falling through to ``target`` (or nowhere)."""
         if self.current is not None and target is not None:
-            CFG.add_edge(self.current, target)
+            self.cfg.add_edge(self.current, target)
         self.current = target
 
     # -- abrupt-exit routing ----------------------------------------------
-    def _unwind(self, kind: str, depth_limit: Optional[int] = None) -> None:
+    def _unwind(
+        self, kind: str, depth_limit: Optional[int] = None, resumes: Optional[tuple] = None
+    ) -> None:
         """Route an abrupt exit (return / raise / break / continue) from the
         current block outward through the control stack.
 
@@ -178,6 +217,8 @@ class _Builder:
         the loop frame at ``depth_limit``; ``return`` unwinds everything.
         Each intervening finally gets (a) an in-edge from the departing
         block and (b) a pending continuation resolved when its try finishes.
+        ``resumes`` labels the edges when the departing block is the end
+        of a simple finalizer resuming that continuation.
         """
         src = self.current
         if src is None:
@@ -186,26 +227,27 @@ class _Builder:
             frame = self.stack[index]
             if kind == "raise" and frame.kind == "try" and frame.catches:
                 for handler in frame.handler_entries:
-                    CFG.add_edge(src, handler)
+                    self.cfg.add_edge(src, handler, (resumes, None))
                 self.current = None
                 return
             if kind in ("break", "continue") and frame.kind == "loop":
                 if depth_limit is not None and index != depth_limit:
                     continue
                 target = frame.break_to if kind == "break" else frame.continue_to
-                CFG.add_edge(src, target)
+                self.cfg.add_edge(src, target, (resumes, None))
                 self.current = None
                 return
             if frame.kind == "try" and frame.has_finally:
-                CFG.add_edge(src, frame.finally_entry)
                 token = (kind, depth_limit)
+                parks = token if frame.labelled else None
+                self.cfg.add_edge(src, frame.finally_entry, (resumes, parks))
                 if token not in frame.pending:
                     frame.pending.append(token)
                 self.current = None
                 return
         # Unwound past every frame.
         target = self.cfg.exit if kind == "return" else self.cfg.raise_exit
-        CFG.add_edge(src, target)
+        self.cfg.add_edge(src, target, (resumes, None))
         self.current = None
 
     def _loop_depth_for(self, _node: ast.AST) -> Optional[int]:
@@ -261,19 +303,19 @@ class _Builder:
         after = self.cfg._new_block()
         # Then-branch.
         then_entry = self.cfg._new_block()
-        CFG.add_edge(cond, then_entry)
+        self.cfg.add_edge(cond, then_entry)
         self.current = then_entry
         self._stmts(stmt.body)
         self._goto(after)
         # Else-branch (possibly empty: the condition falls through).
         if stmt.orelse:
             else_entry = self.cfg._new_block()
-            CFG.add_edge(cond, else_entry)
+            self.cfg.add_edge(cond, else_entry)
             self.current = else_entry
             self._stmts(stmt.orelse)
             self._goto(after)
         else:
-            CFG.add_edge(cond, after)
+            self.cfg.add_edge(cond, after)
         self.current = after if after.preds else None
 
     @staticmethod
@@ -290,7 +332,7 @@ class _Builder:
         frame.break_to = after
         frame.continue_to = head
         body_entry = self.cfg._new_block()
-        CFG.add_edge(head, body_entry)
+        self.cfg.add_edge(head, body_entry)
         exits_normally = not self._is_literal_true(stmt.test)
         self.stack.append(frame)
         self.current = body_entry
@@ -300,12 +342,12 @@ class _Builder:
         if exits_normally:
             if stmt.orelse:
                 else_entry = self.cfg._new_block()
-                CFG.add_edge(head, else_entry)
+                self.cfg.add_edge(head, else_entry)
                 self.current = else_entry
                 self._stmts(stmt.orelse)
                 self._goto(after)
             else:
-                CFG.add_edge(head, after)
+                self.cfg.add_edge(head, after)
         self.current = after if after.preds else None
 
     def _for(self, stmt) -> None:
@@ -319,7 +361,7 @@ class _Builder:
         frame.break_to = after
         frame.continue_to = head
         body_entry = self.cfg._new_block()
-        CFG.add_edge(head, body_entry)
+        self.cfg.add_edge(head, body_entry)
         self.stack.append(frame)
         self.current = body_entry
         self._stmts(stmt.body)
@@ -327,12 +369,12 @@ class _Builder:
         self.stack.pop()
         if stmt.orelse:
             else_entry = self.cfg._new_block()
-            CFG.add_edge(head, else_entry)  # iterator exhausted
+            self.cfg.add_edge(head, else_entry)  # iterator exhausted
             self.current = else_entry
             self._stmts(stmt.orelse)
             self._goto(after)
         else:
-            CFG.add_edge(head, after)
+            self.cfg.add_edge(head, after)
         self.current = after if after.preds else None
 
     def _with(self, stmt) -> None:
@@ -345,6 +387,8 @@ class _Builder:
         frame.has_finally = bool(stmt.finalbody)
         if frame.has_finally:
             frame.finally_entry = self.cfg._new_block()
+            frame.labelled = _is_simple_finalizer(stmt.finalbody)
+        parks_raise = ("raise", None) if frame.labelled else None
         after = self.cfg._new_block()
 
         # --- try body, with handlers armed -------------------------------
@@ -367,11 +411,11 @@ class _Builder:
         ]
         for block in body_blocks:
             for handler in handler_entries:
-                CFG.add_edge(block, handler)
+                self.cfg.add_edge(block, handler)
             if not stmt.handlers and frame.has_finally:
                 # No handlers: a raise anywhere in the body still runs the
                 # finalizer before propagating.
-                CFG.add_edge(block, frame.finally_entry)
+                self.cfg.add_edge(block, frame.finally_entry, (None, parks_raise))
                 if ("raise", None) not in frame.pending:
                     frame.pending.append(("raise", None))
 
@@ -395,30 +439,51 @@ class _Builder:
         # --- route normal completions ------------------------------------
         completions = [normal_end] + handler_ends
         if frame.has_finally:
+            normal = NORMAL if frame.labelled else None
             for end in completions:
                 if end is not None:
-                    CFG.add_edge(end, frame.finally_entry)
+                    self.cfg.add_edge(end, frame.finally_entry, (None, normal))
             # Compile the shared finalizer (outside the frame: its own
             # raises/returns unwind past this try).
             self.current = frame.finally_entry
             self._stmts(stmt.finalbody)
             finally_end = self.current
             if finally_end is not None:
-                CFG.add_edge(finally_end, after)
+                self.cfg.add_edge(finally_end, after, (normal, None))
                 # Resolve abrupt continuations that were parked on the frame.
                 for kind, depth in frame.pending:
-                    self._unwind_from(finally_end, kind, depth)
+                    resumes = (kind, depth) if frame.labelled else None
+                    self._unwind_from(finally_end, kind, depth, resumes)
         else:
             for end in completions:
                 if end is not None:
-                    CFG.add_edge(end, after)
+                    self.cfg.add_edge(end, after)
         self.current = after if after.preds else None
 
-    def _unwind_from(self, block: BasicBlock, kind: str, depth: Optional[int]) -> None:
+    def _unwind_from(
+        self, block: BasicBlock, kind: str, depth: Optional[int], resumes: Optional[tuple]
+    ) -> None:
         saved = self.current
         self.current = block
-        self._unwind(kind, depth)
+        self._unwind(kind, depth, resumes)
         self.current = saved
+
+
+def _is_simple_finalizer(body: List[ast.stmt]) -> bool:
+    """True when control can enter ``body`` only at its top and leave it
+    only at its end: no nested ``try`` and no abrupt statement."""
+    abrupt = (ast.Try, ast.Return, ast.Raise, ast.Break, ast.Continue)
+    if hasattr(ast, "TryStar"):
+        abrupt += (ast.TryStar,)
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, abrupt):
+            return False
+        if not isinstance(node, nested):
+            stack.extend(ast.iter_child_nodes(node))
+    return True
 
 
 def build_cfg(func: ast.AST) -> CFG:

@@ -16,13 +16,21 @@ Two entry points:
   ``(block, element, states_before_element)``.  Rules anchor findings
   here ("this home write can be reached with no force established").
 
+Finalizers: the solver carries each state together with the continuation
+it entered the innermost simple ``finally`` for (``CFG.continuations``
+labels those edges), so a state that reached the ``finally`` along a
+raise edge leaves it only along the raise continuation, not into a parked
+``return``.  The results are plain state sets; the continuation is
+internal to the solve.  The states at the normal exit are the exit
+block's entry states (``block_states(...)[cfg.exit.bid]``).
+
 The transfer function signature is ``transfer(state, element) -> state``;
 it must be pure and return a hashable state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterator, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterator, Tuple
 
 import ast
 
@@ -50,20 +58,59 @@ def block_states(
 ) -> Dict[int, FrozenSet[State]]:
     """Entry-state sets per reachable block id (worklist fixpoint)."""
     blocks = {b.bid: b for b in cfg.reachable()}
-    entry: Dict[int, FrozenSet[State]] = {bid: frozenset() for bid in blocks}
-    entry[cfg.entry.bid] = frozenset([init])
+    # Internally a state travels as (continuation, state): the
+    # continuation a simple finalizer was entered for, or None.
+    entry: Dict[int, FrozenSet[Tuple[Any, State]]] = {bid: frozenset() for bid in blocks}
+    entry[cfg.entry.bid] = frozenset([(None, init)])
+    labels = cfg.continuations
     work = [cfg.entry]
     while work:
         block = work.pop()
-        out = _apply_block(entry[block.bid], block, transfer)
+        out = _apply_tagged(entry[block.bid], block, transfer)
         for succ in block.succs:
             if succ.bid not in entry:
                 continue
-            merged = entry[succ.bid] | out
+            key = (block.bid, succ.bid)
+            flowed = out if key not in labels else _follow(out, labels[key])
+            merged = entry[succ.bid] | flowed
             if merged != entry[succ.bid]:
                 entry[succ.bid] = merged
                 work.append(succ)
-    return entry
+    return {
+        bid: frozenset(state for _, state in tagged) for bid, tagged in entry.items()
+    }
+
+
+def _apply_tagged(
+    tagged: FrozenSet[Tuple[Any, State]], block: BasicBlock, transfer: Transfer
+) -> FrozenSet[Tuple[Any, State]]:
+    by_continuation: Dict[Any, set] = {}
+    for continuation, state in tagged:
+        by_continuation.setdefault(continuation, set()).add(state)
+    out = set()
+    for continuation in sorted(by_continuation, key=repr):
+        states = _apply_block(frozenset(by_continuation[continuation]), block, transfer)
+        out.update((continuation, state) for state in states)
+    return frozenset(out)
+
+
+def _follow(
+    tagged: FrozenSet[Tuple[Any, State]], edge_labels
+) -> FrozenSet[Tuple[Any, State]]:
+    """The tagged states that travel an edge with these labels: an edge out
+    of a finalizer carries only the states parked for the continuation it
+    resumes; an edge into one parks its continuation on them."""
+    out = set()
+    for resumes, parks in sorted(edge_labels, key=repr):
+        for continuation, state in tagged:
+            if resumes is not None:
+                if continuation is not None and continuation != resumes:
+                    continue
+                continuation = None
+            if parks is not None:
+                continuation = parks
+            out.add((continuation, state))
+    return frozenset(out)
 
 
 def iter_element_states(
@@ -87,10 +134,5 @@ def states_at_exit(
     ``exceptional=False`` answers "what can hold when the function completes
     without raising" — the FP01 question.
     """
-    entry = block_states(cfg, transfer, init)
     target = cfg.raise_exit if exceptional else cfg.exit
-    out: set = set()
-    for pred in target.preds:
-        if pred.bid in entry:
-            out |= _apply_block(entry[pred.bid], pred, transfer)
-    return frozenset(out)
+    return block_states(cfg, transfer, init).get(target.bid, frozenset())

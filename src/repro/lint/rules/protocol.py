@@ -35,7 +35,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.lint.astutil import keyword_value, ordered_walk
 from repro.lint.callgraph import CallGraph, FunctionInfo, project_callgraph
 from repro.lint.cfg import build_cfg, CFG
-from repro.lint.dataflow import block_states
+from repro.lint.dataflow import block_states, states_at_exit
 from repro.lint.engine import ModuleContext, Project, Rule, register
 
 __all__ = [
@@ -168,14 +168,7 @@ class _ProtectionAnalysis:
                 cfg = self.cfgs[qualname]
                 entry = self._entry_states(qualname)
                 # protects[f]: all states reaching the normal exit are True.
-                exit_states: Set[bool] = set()
-                for pred in cfg.exit.preds:
-                    if pred.bid not in entry:
-                        continue
-                    for state in entry[pred.bid]:
-                        for element in pred.elements:
-                            state = self._step(info, state, element)
-                        exit_states.add(state)
+                exit_states = entry.get(cfg.exit.bid, frozenset())
                 if exit_states and all(exit_states) and not self.protects[qualname]:
                     self.protects[qualname] = True
                     changed = True
@@ -421,16 +414,7 @@ class _FaultAnalysis:
         info = self.funcs[qualname]
         cfg = self.cfgs[qualname]
         transfer = lambda state, element: self._step(info, state, element)
-        entry = block_states(cfg, transfer, (False, False))
-        out: Set[Tuple[bool, bool]] = set()
-        for pred in cfg.exit.preds:
-            if pred.bid not in entry:
-                continue
-            for state in entry[pred.bid]:
-                for element in pred.elements:
-                    state = self._step(info, state, element)
-                out.add(state)
-        return out
+        return set(states_at_exit(cfg, transfer, (False, False)))
 
     def _solve(self) -> None:
         changed = True

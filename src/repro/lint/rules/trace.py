@@ -261,16 +261,7 @@ class Tr02SpanBalance(Rule):
                         )
                     state = transfer(state, element)
         # Open at the normal exit.
-        open_at_exit = False
-        for pred in cfg.exit.preds:
-            if pred.bid not in entry:
-                continue
-            for state in entry[pred.bid]:
-                for element in pred.elements:
-                    state = transfer(state, element)
-                if state:
-                    open_at_exit = True
-        if open_at_exit:
+        if any(entry.get(cfg.exit.bid, ())):
             anchor = min(assigns, key=lambda a: a.lineno)
             yield module.finding(
                 self.code,

@@ -32,6 +32,9 @@ class DiskCache:
         self.free_frames = TimeWeightedStat(env.now, capacity, name="cache.free")
         self.blocked_pages = TimeWeightedStat(env.now, 0, name="cache.blocked")
         self.allocations = CounterStat("cache.allocations")
+        #: Frame count -> the grant callback recording it (one per count,
+        #: shared by every acquisition of that many frames).
+        self._recorders = {}
 
     @property
     def free(self) -> int:
@@ -48,20 +51,20 @@ class DiskCache:
                 f"requesting {n} frames from a {self.capacity}-frame cache"
             )
         evt = self._frames.get(n)
+        recorder = self._recorders.get(n)
+        if recorder is None:
+            recorder = self._recorders[n] = self._on_acquired(n)
         # The callback list survives until the event is *processed*, so this
         # works whether the grant was immediate or deferred.
-        evt.callbacks.append(self._on_acquired(n))
+        evt.callbacks.append(recorder)
         return evt
 
     def _on_acquired(self, n: int):
-        def callback(_event) -> None:
-            self._record(n)
+        def record(_event) -> None:
+            self.allocations.increment(n)
+            self.free_frames.update(self.env.now, self.free)
 
-        return callback
-
-    def _record(self, n: int) -> None:
-        self.allocations.increment(n)
-        self.free_frames.update(self.env.now, self.free)
+        return record
 
     def release(self, n: int = 1) -> None:
         """Return ``n`` frames to the pool (eventless: a return never blocks)."""

@@ -168,6 +168,15 @@ class DatabaseMachine:
                 disk.faults = faults
         self.arch = architecture if architecture is not None else RecoveryArchitecture()
         self.arch.attach(self)
+        # The base class's per-page hooks are empty generators; the data-page
+        # pipeline skips them (keeping their spans) unless they are overridden.
+        arch_type = type(self.arch)
+        self._indirection_hook = (
+            arch_type.before_page_read is not RecoveryArchitecture.before_page_read
+        )
+        self._update_hook = (
+            arch_type.on_page_updated is not RecoveryArchitecture.on_page_updated
+        )
 
     # ------------------------------------------------------------------ tracing
     # The untraced guards.  ``__init__`` shadows all three with the
@@ -463,17 +472,17 @@ class DatabaseMachine:
             env, capacity=self.config.prefetch_window, init=self.config.prefetch_window
         )
         pipelines: List[Process] = []
+        name = f"pipe.t{txn.tid}"
         for item in self.arch.read_sequence(txn):
             yield window.get(1)
             if runtime.aborted:
                 window.release(1)
                 break
-            pipelines.append(
-                env.process(
-                    self._item_pipeline(txn, runtime, item, window, tspan),
-                    name=f"pipe.t{txn.tid}",
-                )
-            )
+            if isinstance(item, DataPage):
+                pipeline = self._data_page_pipeline(txn, runtime, item.page, window, tspan)
+            else:
+                pipeline = self._item_pipeline(txn, runtime, item, window, tspan)
+            pipelines.append(env.process(pipeline, name=name))
         if pipelines:
             yield env.all_of(pipelines)
 
@@ -516,70 +525,76 @@ class DatabaseMachine:
     # ------------------------------------------------------------------ pipelines
     def _item_pipeline(self, txn, runtime, item: WorkItem, window: Container, tspan=None):
         try:
-            if isinstance(item, DataPage):
-                yield from self._data_page_pipeline(txn, runtime, item.page, tspan)
-            elif isinstance(item, AuxRead):
+            if isinstance(item, AuxRead):
                 yield from self._aux_read_pipeline(txn, runtime, item, tspan)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown work item {item!r}")
         finally:
             window.release(1)
 
-    def _data_page_pipeline(self, txn, runtime, page: int, tspan=None):
+    def _data_page_pipeline(self, txn, runtime, page: int, window: Container, tspan=None):
+        """One data page, lock to write-back, in a single generator frame.
+
+        The page's prefetch-window slot is returned however it ends.
+        """
         env = self.env
-        is_update = page in txn.write_pages
-        mode = LockMode.X if is_update else LockMode.S
-        lspan = self._tspan("lock.wait", parent=tspan, tid=txn.tid, page=page)
         try:
-            yield self.locks.acquire(txn.tid, page, mode)
-        except DeadlockAbort as abort:
-            self._tend(lspan, outcome="deadlock")
-            runtime.aborted = True
-            runtime.abort_cause = abort
-            return
-        self._tend(lspan, outcome="granted")
-        if runtime.aborted:
-            return
-        ispan = self._tspan("indirection", parent=tspan, tid=txn.tid, page=page)
-        yield from self.arch.before_page_read(txn, page)
-        self._tend(ispan)
-        if runtime.aborted:
-            return
-        fspan = self._tspan("cache.wait", parent=tspan, tid=txn.tid, frames=1)
-        yield self.cache.acquire(1)
-        self._tend(fspan)
-        if not runtime.started:
-            runtime.started = True
-            txn.start_time = env.now
-        disk_idx, addresses = self.arch.read_addresses(txn, page)
-        rspan = self._tspan("io.data.read", parent=tspan, tid=txn.tid, page=page)
-        request = self.data_disks[disk_idx].read(addresses, tag="data")
-        yield request.done
-        self._tend(rspan)
-        self.pages_read.increment()
-        self.fault_hook("machine.page-read")
-        if runtime.aborted:
-            self.cache.release(1)
-            return
-        qspan = self._tspan("qp.wait", parent=tspan, tid=txn.tid)
-        qp_index, grant = yield from self.qps.acquire()
-        self._tend(qspan)
-        xspan = self._tspan(
-            "qp.exec", parent=tspan, tid=txn.tid, page=page, update=is_update
-        )
-        self._qp_holders[qp_index] = (txn, runtime)
-        try:
-            yield env.timeout(self.arch.page_cpu_ms(txn, page, is_update))
+            is_update = page in txn.write_pages
+            mode = LockMode.X if is_update else LockMode.S
+            lspan = self._tspan("lock.wait", parent=tspan, tid=txn.tid, page=page)
+            try:
+                yield self.locks.acquire(txn.tid, page, mode)
+            except DeadlockAbort as abort:
+                self._tend(lspan, outcome="deadlock")
+                runtime.aborted = True
+                runtime.abort_cause = abort
+                return
+            self._tend(lspan, outcome="granted")
+            if runtime.aborted:
+                return
+            ispan = self._tspan("indirection", parent=tspan, tid=txn.tid, page=page)
+            if self._indirection_hook:
+                yield from self.arch.before_page_read(txn, page)
+            self._tend(ispan)
+            if runtime.aborted:
+                return
+            fspan = self._tspan("cache.wait", parent=tspan, tid=txn.tid, frames=1)
+            yield self.cache.acquire(1)
+            self._tend(fspan)
+            if not runtime.started:
+                runtime.started = True
+                txn.start_time = env.now
+            disk_idx, addresses = self.arch.read_addresses(txn, page)
+            rspan = self._tspan("io.data.read", parent=tspan, tid=txn.tid, page=page)
+            request = self.data_disks[disk_idx].read(addresses, tag="data")
+            yield request.done
+            self._tend(rspan)
+            self.pages_read.increment()
+            self.fault_hook("machine.page-read")
+            if runtime.aborted:
+                self.cache.release(1)
+                return
+            qspan = self._tspan("qp.wait", parent=tspan, tid=txn.tid)
+            qp_index, grant = yield from self.qps.acquire()
+            self._tend(qspan)
+            xspan = self._tspan(
+                "qp.exec", parent=tspan, tid=txn.tid, page=page, update=is_update
+            )
+            self._qp_holders[qp_index] = (txn, runtime)
+            try:
+                yield env.timeout(self.arch.page_cpu_ms(txn, page, is_update))
+                if is_update and not runtime.aborted and self._update_hook:
+                    yield from self.arch.on_page_updated(txn, page, qp_index)
+            finally:
+                self._qp_holders.pop(qp_index, None)
+                self.qps.release(qp_index, grant)
+                self._tend(xspan)
             if is_update and not runtime.aborted:
-                yield from self.arch.on_page_updated(txn, page, qp_index)
+                self.spawn_writeback(txn, page, parent=tspan)
+            else:
+                self.cache.release(1)
         finally:
-            self._qp_holders.pop(qp_index, None)
-            self.qps.release(qp_index, grant)
-            self._tend(xspan)
-        if is_update and not runtime.aborted:
-            self.spawn_writeback(txn, page, parent=tspan)
-        else:
-            self.cache.release(1)
+            window.release(1)
 
     def _aux_read_pipeline(self, txn, runtime, item: AuxRead, tspan=None):
         n_frames = len(item.addresses)

@@ -15,7 +15,7 @@ in this package use **milliseconds**, matching the paper).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -101,7 +101,9 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        self.env._schedule(self, NORMAL)
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -155,12 +157,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._triggered = True
-        env._schedule(self, NORMAL, delay)
+        self._processed = False
+        self._defused = False
+        self.delay = delay
+        env._eid += 1
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
 
 class _Initialize(Event):
@@ -169,12 +175,15 @@ class _Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
+        self.env = env
         self.callbacks = [process._resume]
-        self._ok = True
         self._value = None
+        self._ok = True
         self._triggered = True
-        env._schedule(self, URGENT)
+        self._processed = False
+        self._defused = False
+        env._eid += 1
+        heappush(env._queue, (env._now, URGENT, env._eid, self))
 
 
 class Process(Event):
@@ -189,7 +198,13 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process currently waits for (None when running).
@@ -228,54 +243,48 @@ class Process(Event):
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
+        """Advance the generator with the outcome of ``event``.
+
+        A yielded non-event gets :class:`SimulationError` thrown back in;
+        whatever the generator yields after catching it is its next event.
+        """
         env = self.env
         env._active_process = self
         self._target = None
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
+                while not isinstance(next_event, Event):
+                    next_event = generator.throw(
+                        SimulationError(
+                            f"process {self.name!r} yielded non-event {next_event!r}"
+                        )
+                    )
             except StopIteration as exc:
                 # Generator finished normally.
                 self._ok = True
                 self._value = exc.value
                 self._triggered = True
-                env._schedule(self, NORMAL)
+                env._eid += 1
+                heappush(env._queue, (env._now, NORMAL, env._eid, self))
                 break
             except BaseException as exc:  # noqa: BLE001 - propagate via event
                 self._ok = False
                 self._value = exc
                 self._triggered = True
-                env._schedule(self, NORMAL)
+                env._eid += 1
+                heappush(env._queue, (env._now, NORMAL, env._eid, self))
                 break
 
-            if not isinstance(next_event, Event):
-                error = SimulationError(
-                    f"process {self.name!r} yielded non-event {next_event!r}"
-                )
-                try:
-                    self._generator.throw(error)
-                except StopIteration as exc:
-                    self._ok = True
-                    self._value = exc.value
-                    self._triggered = True
-                    env._schedule(self, NORMAL)
-                    break
-                except BaseException as exc:  # noqa: BLE001
-                    self._ok = False
-                    self._value = exc
-                    self._triggered = True
-                    env._schedule(self, NORMAL)
-                    break
-                continue
-
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Event still pending/triggered-not-processed: wait for it.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
                 break
             # Event already processed: loop around immediately with it.
@@ -399,8 +408,10 @@ class Environment:
 
     # -- scheduling / stepping ----------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
+        # The hot paths (succeed, Timeout, process start and finish) push
+        # the same (time, priority, eid) key inline instead of calling this.
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
@@ -408,9 +419,10 @@ class Environment:
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        if not self._queue:
-            raise SimulationError("step() on empty schedule")
-        when, _, _, event = heapq.heappop(self._queue)
+        try:
+            when, _, _, event = heappop(self._queue)
+        except IndexError:
+            raise SimulationError("step() on empty schedule") from None
         self._now = when
         callbacks = event.callbacks
         event.callbacks = None
@@ -429,25 +441,27 @@ class Environment:
         * ``until`` is an :class:`Event`: run until it is processed and return
           its value (raising if it failed).
         """
+        queue = self._queue
+        step = self.step
         if until is None:
-            while self._queue:
-                self.step()
+            while queue:
+                step()
             return None
         if isinstance(until, Event):
             stop = until
             while not stop._processed:
-                if not self._queue:
+                if not queue:
                     raise SimulationError(
                         "schedule ran dry before the awaited event fired"
                     )
-                self.step()
+                step()
             if not stop._ok:
                 raise stop._value
             return stop._value
         horizon = float(until)
         if horizon < self._now:
             raise SimulationError(f"until={horizon} lies in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        while queue and queue[0][0] <= horizon:
+            step()
         self._now = horizon
         return None

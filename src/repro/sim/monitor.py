@@ -130,7 +130,8 @@ class TimeWeightedStat:
         self._area += self._value * (t - self._last_t)
         self._last_t = t
         self._value = value
-        self._max = max(self._max, value)
+        if value > self._max:
+            self._max = value
 
     def add(self, t: float, delta: float) -> None:
         self.update(t, self._value + delta)
@@ -171,21 +172,27 @@ class UtilizationTracker:
     def busy(self) -> int:
         return self._busy
 
+    # ``start`` and ``stop`` run once per disk access and per QP job, so
+    # each accumulates the busy time since the last change inline.
     def start(self, t: float) -> None:
-        self._accumulate(t)
-        self._busy += 1
+        last = self._last_t
+        if t < last:
+            raise ValueError(f"time went backwards: {t} < {last}")
+        busy = self._busy
+        self._busy_time += busy * (t - last)
+        self._last_t = t
+        self._busy = busy + 1
 
     def stop(self, t: float) -> None:
-        if self._busy <= 0:
+        busy = self._busy
+        if busy <= 0:
             raise ValueError(f"stop() on idle tracker {self.name!r}")
-        self._accumulate(t)
-        self._busy -= 1
-
-    def _accumulate(self, t: float) -> None:
-        if t < self._last_t:
-            raise ValueError(f"time went backwards: {t} < {self._last_t}")
-        self._busy_time += self._busy * (t - self._last_t)
+        last = self._last_t
+        if t < last:
+            raise ValueError(f"time went backwards: {t} < {last}")
+        self._busy_time += busy * (t - last)
         self._last_t = t
+        self._busy = busy - 1
 
     def busy_time(self, t_end: Optional[float] = None) -> float:
         t = self._last_t if t_end is None else t_end

@@ -48,7 +48,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -95,9 +101,10 @@ class Resource:
             # Releasing a queued (never-granted) request is a cancel.
             self._cancel(request)
             return
-        while self.queue:
-            nxt = self.queue.popleft()
-            if nxt.triggered:  # cancelled/interrupted leftover
+        queue = self.queue
+        while queue:
+            nxt = queue.popleft()
+            if nxt._triggered:  # cancelled/interrupted leftover
                 continue
             self.users.append(nxt)
             nxt.succeed()
@@ -282,7 +289,13 @@ class ContainerGet(Event):
     __slots__ = ("amount",)
 
     def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.amount = amount
 
 
@@ -341,12 +354,19 @@ class Container:
                 f"at level {self._level}"
             )
         self._level += amount
-        self._dispatch()
+        if self._getters:
+            self._dispatch()
 
     def get(self, amount: float) -> ContainerGet:
         if amount <= 0:
             raise SimulationError("get amount must be positive")
         evt = ContainerGet(self.env, amount)
+        if not self._getters and not self._putters and self._level >= amount:
+            # A lone getter that fits: granted on the spot, exactly as
+            # ``_dispatch`` would grant it.
+            self._level -= amount
+            evt.succeed()
+            return evt
         self._getters.append(evt)
         self._dispatch()
         return evt
@@ -357,7 +377,7 @@ class Container:
             progress = False
             if self._putters:
                 put = self._putters[0]
-                if put.triggered:
+                if put._triggered:
                     self._putters.popleft()
                     progress = True
                 elif self._level + put.amount <= self.capacity:
@@ -367,7 +387,7 @@ class Container:
                     progress = True
             if self._getters:
                 get = self._getters[0]
-                if get.triggered:
+                if get._triggered:
                     self._getters.popleft()
                     progress = True
                 elif self._level >= get.amount:

@@ -203,6 +203,49 @@ def f(x):
         # return, and the may-raise propagation.
         assert e[(7,)] == {(8,), "exit", "raise"}
 
+    def test_simple_finally_edges_carry_continuations(self):
+        cfg = cfg_of(
+            """\
+def f(x):
+    try:
+        if x:
+            return early()
+        work()
+    finally:
+        cleanup()
+    after()
+"""
+        )
+        cleanup = block_of_line(cfg, 7)
+        labels = {
+            (src, dst): cfg.continuations[(src, dst)]
+            for src, dst in cfg.continuations
+            if cleanup.bid in (src, dst)
+        }
+        parked = set().union(*(v for (s, d), v in labels.items() if d == cleanup.bid))
+        resumed = set().union(*(v for (s, d), v in labels.items() if s == cleanup.bid))
+        assert {parks for _, parks in parked} == {
+            ("normal", None), ("return", None), ("raise", None)
+        }
+        assert {resumes for resumes, _ in resumed} == {
+            ("normal", None), ("return", None), ("raise", None)
+        }
+        exit_edge = cfg.continuations[(cleanup.bid, cfg.exit.bid)]
+        assert exit_edge == {(("return", None), None)}
+
+    def test_finally_with_abrupt_exit_is_unlabelled(self):
+        cfg = cfg_of(
+            """\
+def f(x):
+    try:
+        work()
+    finally:
+        if x:
+            return 1
+"""
+        )
+        assert cfg.continuations == {}
+
     def test_finally_dominates_exit(self):
         cfg = cfg_of(
             """\

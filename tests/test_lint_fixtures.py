@@ -28,7 +28,8 @@ def _cases(suffix):
 
 
 def _rule_of(case):
-    return case.rsplit("_", 1)[0].upper()
+    """``tr02_bad`` and ``tr02-finally_bad`` both exercise TR02."""
+    return case.rsplit("_", 1)[0].split("-")[0].upper()
 
 
 def _materialize(case, tmp_path):

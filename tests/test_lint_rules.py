@@ -898,6 +898,104 @@ class TestTr02SpanBalance:
         )
         assert codes(findings) == ["TR02"]
 
+    def test_outer_finally_keeps_return_apart_from_raise(self, tmp_path):
+        # The span is open on the raise edges into the shared finally, but
+        # closed on every route that returns through it.
+        findings = lint(
+            tmp_path,
+            {
+                "src/repro/machine/toy.py": """
+                class M:
+                    def run(self):
+                        try:
+                            span = self._tspan("lock.wait")
+                            try:
+                                yield 1
+                            except ValueError:
+                                self._tend(span)
+                                return
+                            self._tend(span)
+                        finally:
+                            self.done()
+                """
+            },
+            rules=["TR02"],
+        )
+        assert findings == []
+
+    def test_outer_finally_still_flags_open_return(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {
+                "src/repro/machine/toy.py": """
+                class M:
+                    def run(self, work):
+                        try:
+                            span = self._tspan("lock.wait")
+                            if not work:
+                                return
+                            self._tend(span)
+                        finally:
+                            self.done()
+                """
+            },
+            rules=["TR02"],
+        )
+        assert codes(findings) == ["TR02"]
+
+    def test_raise_resumed_into_handler_that_returns(self, tmp_path):
+        # The inner finally resumes the raise into the outer handler,
+        # which returns with the span open.
+        findings = lint(
+            tmp_path,
+            {
+                "src/repro/machine/toy.py": """
+                class M:
+                    def run(self, work):
+                        span = self._tspan("lock.wait")
+                        try:
+                            try:
+                                work()
+                            finally:
+                                self.done()
+                        except ValueError:
+                            return
+                        self._tend(span)
+                """
+            },
+            rules=["TR02"],
+        )
+        assert codes(findings) == ["TR02"]
+
+    def test_finally_with_nested_try_stays_conservative(self, tmp_path):
+        # A finalizer with a try of its own is not labelled: its exit fans
+        # out to every continuation, so the raise-edge states reach the
+        # parked return (a known false positive, kept on purpose).
+        findings = lint(
+            tmp_path,
+            {
+                "src/repro/machine/toy.py": """
+                class M:
+                    def run(self):
+                        try:
+                            span = self._tspan("lock.wait")
+                            try:
+                                yield 1
+                            except ValueError:
+                                self._tend(span)
+                                return
+                            self._tend(span)
+                        finally:
+                            try:
+                                self.done()
+                            except ValueError:
+                                pass
+                """
+            },
+            rules=["TR02"],
+        )
+        assert codes(findings) == ["TR02"]
+
 
 class TestRng01StreamAliasing:
     def test_two_modules_sharing_a_stream_flagged(self, tmp_path):

@@ -177,6 +177,43 @@ class TestProcess:
         env.run()
         assert len(caught) == 1
 
+    def test_event_yielded_after_non_event_error_is_waited_on(self):
+        # A process that catches the non-event error and then yields a
+        # real event waits for that event and gets its value.
+        env = Environment()
+        resumed = []
+
+        def proc(env):
+            try:
+                yield "not an event"
+            except SimulationError:
+                pass
+            got = yield env.timeout(5, value="five")
+            resumed.append((env.now, got))
+
+        env.process(proc(env))
+        env.run()
+        assert resumed == [(5.0, "five")]
+
+    def test_repeated_non_events_each_get_the_error(self):
+        env = Environment()
+        caught = []
+
+        def proc(env):
+            for bad in (1, 2):
+                try:
+                    yield bad
+                except SimulationError as exc:
+                    caught.append(str(exc))
+            return (yield env.timeout(2, value="ok"))
+
+        assert env.run(until=env.process(proc(env), name="p")) == "ok"
+        assert env.now == 2.0
+        assert caught == [
+            "process 'p' yielded non-event 1",
+            "process 'p' yielded non-event 2",
+        ]
+
     def test_exception_in_process_propagates(self):
         env = Environment()
 

@@ -10,6 +10,12 @@ these numbers (the simulated outputs themselves are pinned elsewhere).
 
 Returning cache frames and prefetch-window slots is eventless
 (``Container.release``): no ``ContainerPut`` may reach the calendar.
+
+The same runs also pin how often the counted constructors run
+(``Process``, ``Timeout`` and ``Request``).  perfbench reports
+``sim.processes``, ``sim.timeouts`` and ``sim.resource_requests`` from
+these calls, so a fast path that built such an event without its
+constructor would zero them silently; here it fails instead.
 """
 
 import pytest
@@ -21,8 +27,8 @@ from repro import (
     generate_transactions,
 )
 from repro.registry import REGISTRY, machine_overrides
-from repro.sim import Environment, RandomStreams
-from repro.sim.resources import ContainerPut
+from repro.sim import Environment, Process, RandomStreams, Timeout
+from repro.sim.resources import ContainerPut, Request
 
 #: name -> (events on conventional disks, events on parallel-access disks).
 EXPECTED_EVENTS = {
@@ -36,9 +42,23 @@ EXPECTED_EVENTS = {
     "wal": (1383, 1378),
 }
 
+#: name -> ((Process, Timeout, Request) constructor calls on conventional
+#: disks, the same on parallel-access disks).
+EXPECTED_CONSTRUCTORS = {
+    "bare": ((143, 246, 118), (143, 240, 118)),
+    "command": ((210, 274, 140), (210, 268, 140)),
+    "differential": ((161, 257, 127), (161, 251, 127)),
+    "overwrite": ((154, 296, 118), (154, 263, 118)),
+    "redo": ((210, 274, 140), (210, 269, 140)),
+    "shadow": ((144, 376, 118), (144, 371, 118)),
+    "versions": ((143, 246, 118), (143, 240, 118)),
+    "wal": ((210, 274, 140), (210, 268, 140)),
+}
+
 
 def test_registry_covered():
     assert set(EXPECTED_EVENTS) == set(REGISTRY), "new architecture: pin its budget"
+    assert set(EXPECTED_CONSTRUCTORS) == set(REGISTRY)
 
 
 @pytest.fixture
@@ -46,6 +66,9 @@ def counts(monkeypatch):
     tally = {"events": 0, "container_puts": 0}
     step = Environment.step
     put_init = ContainerPut.__init__
+    for owner in (Process, Timeout, Request):
+        tally[owner.__name__] = 0
+        monkeypatch.setattr(owner, "__init__", _counting(owner, tally))
 
     def counted_step(env):
         tally["events"] += 1
@@ -58,6 +81,16 @@ def counts(monkeypatch):
     monkeypatch.setattr(Environment, "step", counted_step)
     monkeypatch.setattr(ContainerPut, "__init__", counted_put_init)
     return tally
+
+
+def _counting(owner, tally):
+    original = owner.__init__
+
+    def counted_init(*args, **kwargs):
+        tally[owner.__name__] += 1
+        original(*args, **kwargs)
+
+    return counted_init
 
 
 @pytest.mark.parametrize("parallel", [False, True], ids=["conventional", "parallel"])
@@ -75,3 +108,6 @@ def test_event_budget(name, parallel, counts):
     assert result.pages_processed == 134
     assert counts["container_puts"] == 0
     assert counts["events"] == EXPECTED_EVENTS[name][parallel]
+    assert (
+        counts["Process"], counts["Timeout"], counts["Request"]
+    ) == EXPECTED_CONSTRUCTORS[name][parallel]

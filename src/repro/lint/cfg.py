@@ -25,12 +25,15 @@ Design:
   exit fans out to each registered continuation.  This merges routes a
   duplicating compiler would keep apart, which keeps the
   statement-to-block mapping a partition.  A *simple* finalizer — no
-  nested ``try`` and no ``return``/``raise``/``break``/``continue`` — is
-  entered only at its top and left only at its end, so its edges carry
-  continuation labels (:attr:`CFG.continuations`): each in-edge names the
-  continuation it parks, each out-edge the one it resumes, and the
-  dataflow solver sends every state out along the continuation it came
-  in for.  Any other finalizer keeps the conservative fan-out.
+  ``return``/``raise``/``break``/``continue``, and every nested ``try``
+  has a handler, so no exception leaves it — is entered only at its top
+  and left only at its end, so its edges carry continuation labels
+  (:attr:`CFG.continuations`): each in-edge names the continuation it
+  parks, each out-edge the one it resumes, and the dataflow solver sends
+  every state out along the continuation it came in for.  A ``try``
+  nested in a simple finalizer is itself unlabelled, so it keeps the
+  outer continuation instead of parking its own.  Any other finalizer
+  keeps the conservative fan-out.
 * Exceptions are modeled at the points that matter for the rules:
   explicit ``raise`` statements always unwind; additionally, every block
   inside a ``try`` body gets a may-raise edge to the handlers (any call
@@ -186,6 +189,9 @@ class _Builder:
         self.cfg = CFG(func)
         self.current: Optional[BasicBlock] = self.cfg.entry
         self.stack: List[_Frame] = []
+        #: Simple finalizers being compiled: a try inside one is not
+        #: labelled, so its edges leave the parked continuation alone.
+        self.labelled_finalizers = 0
 
     # -- plumbing ---------------------------------------------------------
     def _block(self) -> BasicBlock:
@@ -387,7 +393,9 @@ class _Builder:
         frame.has_finally = bool(stmt.finalbody)
         if frame.has_finally:
             frame.finally_entry = self.cfg._new_block()
-            frame.labelled = _is_simple_finalizer(stmt.finalbody)
+            frame.labelled = not self.labelled_finalizers and _is_simple_finalizer(
+                stmt.finalbody
+            )
         parks_raise = ("raise", None) if frame.labelled else None
         after = self.cfg._new_block()
 
@@ -446,7 +454,9 @@ class _Builder:
             # Compile the shared finalizer (outside the frame: its own
             # raises/returns unwind past this try).
             self.current = frame.finally_entry
+            self.labelled_finalizers += frame.labelled
             self._stmts(stmt.finalbody)
+            self.labelled_finalizers -= frame.labelled
             finally_end = self.current
             if finally_end is not None:
                 self.cfg.add_edge(finally_end, after, (normal, None))
@@ -471,15 +481,15 @@ class _Builder:
 
 def _is_simple_finalizer(body: List[ast.stmt]) -> bool:
     """True when control can enter ``body`` only at its top and leave it
-    only at its end: no nested ``try`` and no abrupt statement."""
-    abrupt = (ast.Try, ast.Return, ast.Raise, ast.Break, ast.Continue)
-    if hasattr(ast, "TryStar"):
-        abrupt += (ast.TryStar,)
+    only at its end: no abrupt statement, and every nested ``try`` has a
+    handler (one without sends its body's may-raise edges out of ``body``)."""
+    abrupt = (ast.Return, ast.Raise, ast.Break, ast.Continue)
+    tries = (ast.Try, ast.TryStar) if hasattr(ast, "TryStar") else (ast.Try,)
     nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
     stack: List[ast.AST] = list(body)
     while stack:
         node = stack.pop()
-        if isinstance(node, abrupt):
+        if isinstance(node, abrupt) or (isinstance(node, tries) and not node.handlers):
             return False
         if not isinstance(node, nested):
             stack.extend(ast.iter_child_nodes(node))

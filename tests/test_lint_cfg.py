@@ -246,6 +246,53 @@ def f(x):
         )
         assert cfg.continuations == {}
 
+    def test_finally_with_caught_nested_try_is_labelled(self):
+        cfg = cfg_of(
+            """\
+def f(x):
+    try:
+        if x:
+            return early()
+        work()
+    finally:
+        try:
+            cleanup()
+        except ValueError:
+            pass
+    after()
+"""
+        )
+        labels = set().union(*cfg.continuations.values())
+        # Only the outer finalizer parks and resumes: the nested try is
+        # unlabelled, so it keeps the continuation the state came in with.
+        assert {parks for _, parks in labels} - {None} == {
+            ("normal", None), ("return", None), ("raise", None)
+        }
+        assert {resumes for resumes, _ in labels} - {None} == {
+            ("normal", None), ("return", None), ("raise", None)
+        }
+        into_exit = [v for (s, d), v in cfg.continuations.items() if d == cfg.exit.bid]
+        assert into_exit == [{(("return", None), None)}]
+
+    def test_finally_with_uncaught_nested_try_is_unlabelled(self):
+        # A nested try/finally sends its body's may-raise edges out of
+        # the outer finalizer, so the outer one is not labelled (the
+        # inner one, entered from an unlabelled frame, still is).
+        cfg = cfg_of(
+            """\
+def f(x):
+    try:
+        work()
+    finally:
+        try:
+            cleanup()
+        finally:
+            more()
+"""
+        )
+        work = block_of_line(cfg, 3)
+        assert not any(src == work.bid for src, _ in cfg.continuations)
+
     def test_finally_dominates_exit(self):
         cfg = cfg_of(
             """\

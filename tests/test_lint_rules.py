@@ -967,10 +967,11 @@ class TestTr02SpanBalance:
         )
         assert codes(findings) == ["TR02"]
 
-    def test_finally_with_nested_try_stays_conservative(self, tmp_path):
-        # A finalizer with a try of its own is not labelled: its exit fans
-        # out to every continuation, so the raise-edge states reach the
-        # parked return (a known false positive, kept on purpose).
+    def test_finally_with_nested_try_keeps_return_apart_from_raise(self, tmp_path):
+        # The finalizer's own try catches everything its body raises, so
+        # the finalizer is still entered only at its top and left only at
+        # its end: its edges are labelled and the raise-edge states (span
+        # open) do not reach the parked return (span closed).
         findings = lint(
             tmp_path,
             {
@@ -994,7 +995,34 @@ class TestTr02SpanBalance:
             },
             rules=["TR02"],
         )
+        assert findings == []
+
+    def test_finally_with_nested_try_still_flags_open_return(self, tmp_path):
+        # The same finalizer, but the handler returns with the span open.
+        findings = lint(
+            tmp_path,
+            {
+                "src/repro/machine/toy.py": """
+                class M:
+                    def run(self):
+                        try:
+                            span = self._tspan("lock.wait")
+                            try:
+                                yield 1
+                            except ValueError:
+                                return
+                            self._tend(span)
+                        finally:
+                            try:
+                                self.done()
+                            except ValueError:
+                                pass
+                """
+            },
+            rules=["TR02"],
+        )
         assert codes(findings) == ["TR02"]
+        assert "still open" in findings[0].message
 
 
 class TestRng01StreamAliasing:
